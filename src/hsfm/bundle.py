@@ -1,19 +1,26 @@
 """Sparse Levenberg-Marquardt bundle adjustment.
 
 Minimizes total squared pixel reprojection error over camera and point
-parameters.  The normal equations are solved by Schur elimination of the
-point blocks, which is what makes repeated adjustment of growing models
-affordable.  Three camera parameterizations are supported:
+parameters.  The normal equations are accumulated from the per-camera
+Jacobians as the camera block U, the camera-point coupling W (camera
+parameters x points x 3) and the 3x3 point blocks V; the point blocks are
+eliminated (Schur complement) and only the reduced camera system is solved.
+No full Jacobian or Hessian is formed, so memory is linear in the number of
+points for a fixed camera count, which is what makes repeated adjustment of
+growing models affordable.  Three camera parameterizations are supported:
 
 - ``euclidean_fixed_k``: 6 dof per camera (rotation increment + centre),
   intrinsics and radial taken from the camera as constants;
 - ``euclidean_free_k``: 6 + (focal, principal point, one radial
-  coefficient), with zero skew and unit aspect;
+  coefficient), with zero skew and unit aspect; cameras listed in
+  ``frozen_intrinsics`` keep the fixed-K layout;
 - ``projective``: the 12 raw camera-matrix entries (11 effective dof; the
   overall scale direction is handled by the damping).
 
 Fixed cameras contribute residuals (anchoring the free ones through shared
-points) but own no parameters and are returned bit-identical.
+points) but own no parameters and are returned bit-identical.  A problem
+without fixed cameras fixes the gauge instead: the pose of its first free
+camera is held and, for Euclidean problems, one baseline length is pinned.
 """
 
 from __future__ import annotations
@@ -21,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
 from scipy.spatial.transform import Rotation
 
 from . import geometry as geo
@@ -45,8 +51,6 @@ class BaProblem:
     parameterization: str = PARAM_EUCLIDEAN_FIXED_K
     max_iterations: int = 100
     frozen_intrinsics: set = field(default_factory=set)  # image ids
-    fix_gauge: bool | None = None      # default: only when no fixed cameras
-    optimize_radial: bool = True       # include the radial coefficient in free-K
 
 
 @dataclass
@@ -71,13 +75,11 @@ class BaSolution:
 
 
 class _CamBlock:
-    def __init__(self, image_id, camera, parameterization, pose_free, k_free,
-                 radial_free=True):
+    def __init__(self, image_id, camera, parameterization, pose_free, k_free):
         self.image_id = image_id
         self.parameterization = parameterization
         self.pose_free = pose_free
-        self.k_free = k_free
-        self.radial_free = radial_free and k_free
+        self.k_free = k_free and parameterization == PARAM_EUCLIDEAN_FREE_K
         self.offset = 0
         self.obs_points = None      # indices into the point array
         self.obs_uv = None
@@ -92,12 +94,11 @@ class _CamBlock:
             self.skew = intr.skew
             self.cx, self.cy = intr.cx, intr.cy
             self.k1 = camera.radial
-            if parameterization == PARAM_EUCLIDEAN_FREE_K and k_free:
+            self.width = 6 if pose_free else 0
+            if self.k_free:
                 # single focal, centred principal point convention
                 self.f = 0.5 * (self.fx + self.fy)
-                self.width = (6 if pose_free else 0) + (4 if self.radial_free else 3)
-            else:
-                self.width = 6 if pose_free else 0
+                self.width += 4
 
     # -- projection of this camera's observed points -----------------------
 
@@ -110,7 +111,7 @@ class _CamBlock:
             w = np.where(np.abs(x[:, 2]) < 1e-12, 1e-12, x[:, 2])
             return x[:, :2] / w[:, None]
         R, C = self.R, self.C
-        if self.k_free and self.parameterization == PARAM_EUCLIDEAN_FREE_K:
+        if self.k_free:
             f, cx, cy, k1 = self.f, self.cx, self.cy, self.k1
             fx = fy = f
             skew = 0.0
@@ -124,12 +125,11 @@ class _CamBlock:
                 R = R @ Rotation.from_rotvec(delta[0:3]).as_matrix()
                 C = C + delta[3:6]
                 pos = 6
-            if self.k_free and self.parameterization == PARAM_EUCLIDEAN_FREE_K:
+            if self.k_free:
                 fx = fy = f = self.f + delta[pos]
                 cx = self.cx + delta[pos + 1]
                 cy = self.cy + delta[pos + 2]
-                if self.radial_free:
-                    k1 = self.k1 + delta[pos + 3]
+                k1 = self.k1 + delta[pos + 3]
         y = (X - C) @ R.T
         z = np.where(np.abs(y[:, 2]) < 1e-12, 1e-12, y[:, 2])
         xn = y[:, :2] / z[:, None]
@@ -164,8 +164,7 @@ class _CamBlock:
             return Jc, Jp
 
         R, C = self.R, self.C
-        free_k = self.k_free and self.parameterization == PARAM_EUCLIDEAN_FREE_K
-        if free_k:
+        if self.k_free:
             fx = fy = self.f
             skew, cx, cy, k1 = 0.0, self.cx, self.cy, self.k1
         else:
@@ -214,14 +213,13 @@ class _CamBlock:
             Jc[:, :, 0:3] = np.einsum("nij,njk->nik", dp_dy, dy_dw)
             Jc[:, :, 3:6] = -Jp
             pos = 6
-        if free_k:
+        if self.k_free:
             Jc[:, 0, pos] = xd[:, 0]
             Jc[:, 1, pos] = xd[:, 1]
             Jc[:, 0, pos + 1] = 1.0
             Jc[:, 1, pos + 2] = 1.0
-            if self.radial_free:
-                Jc[:, 0, pos + 3] = fx * xn[:, 0] * r2
-                Jc[:, 1, pos + 3] = fy * xn[:, 1] * r2
+            Jc[:, 0, pos + 3] = fx * xn[:, 0] * r2
+            Jc[:, 1, pos + 3] = fy * xn[:, 1] * r2
         return Jc, Jp
 
     def apply(self, delta):
@@ -236,17 +234,16 @@ class _CamBlock:
             self.R = self.R @ Rotation.from_rotvec(delta[0:3]).as_matrix()
             self.C = self.C + delta[3:6]
             pos = 6
-        if self.k_free and self.parameterization == PARAM_EUCLIDEAN_FREE_K:
+        if self.k_free:
             self.f += delta[pos]
             self.cx += delta[pos + 1]
             self.cy += delta[pos + 2]
-            if self.radial_free:
-                self.k1 += delta[pos + 3]
+            self.k1 += delta[pos + 3]
 
     def to_camera(self, template) -> geo.Camera:
         if self.parameterization == PARAM_PROJECTIVE:
             return geo.Camera(P=self.P.copy(), kind=geo.PROJECTIVE)
-        if self.k_free and self.parameterization == PARAM_EUCLIDEAN_FREE_K:
+        if self.k_free:
             intr = geo.Intrinsics(fx=self.f, fy=self.f, skew=0.0, cx=self.cx, cy=self.cy)
             return geo.Camera.euclidean(intr, self.R, self.C, radial=self.k1)
         intr = geo.Intrinsics(
@@ -259,44 +256,36 @@ class _State:
     def __init__(self, problem: BaProblem):
         self.problem = problem
         free_ids = sorted(problem.free_cameras)
-        fixed_ids = sorted(problem.fixed_cameras)
-        fix_gauge = problem.fix_gauge
-        if fix_gauge is None:
-            fix_gauge = len(fixed_ids) == 0
-        self.gauge_id = free_ids[0] if (fix_gauge and free_ids) else None
+        # without anchoring cameras the first free camera holds the gauge
+        self.gauge_id = (
+            free_ids[0] if free_ids and not problem.fixed_cameras else None
+        )
 
-        self.blocks = []
-        for img in free_ids:
-            cam = problem.free_cameras[img]
-            pose_free = img != self.gauge_id
-            if problem.parameterization == PARAM_PROJECTIVE:
-                k_free = False
-            else:
-                k_free = (
-                    problem.parameterization == PARAM_EUCLIDEAN_FREE_K
-                    and img not in problem.frozen_intrinsics
-                )
-            self.blocks.append(
-                _CamBlock(
-                    img, cam, problem.parameterization, pose_free, k_free,
-                    radial_free=problem.optimize_radial,
-                )
+        self.blocks = [
+            _CamBlock(
+                img,
+                problem.free_cameras[img],
+                problem.parameterization,
+                pose_free=img != self.gauge_id,
+                k_free=img not in problem.frozen_intrinsics,
             )
-        self.fixed_blocks = []
-        for img in fixed_ids:
-            cam = problem.fixed_cameras[img]
-            param = (
-                PARAM_PROJECTIVE
-                if cam.kind == geo.PROJECTIVE
-                else PARAM_EUCLIDEAN_FIXED_K
+            for img in free_ids
+        ]
+        self.fixed_blocks = [
+            _CamBlock(
+                img,
+                cam,
+                PARAM_PROJECTIVE if cam.kind == geo.PROJECTIVE else PARAM_EUCLIDEAN_FIXED_K,
+                pose_free=False,
+                k_free=False,
             )
-            self.fixed_blocks.append(_CamBlock(img, cam, param, False, False))
+            for img, cam in sorted(problem.fixed_cameras.items())
+        ]
 
         self.points = np.array(
             [tp.position for tp in problem.tie_points], float
         ).reshape(-1, 3)
         n_pts = len(self.points)
-        point_index = {id(tp): k for k, tp in enumerate(problem.tie_points)}
 
         # observations per camera block, ordered deterministically
         all_cams = {b.image_id: b for b in self.blocks + self.fixed_blocks}
@@ -359,39 +348,48 @@ class _State:
             r[row : row + 2 * len(b.obs_points)] = (proj - b.obs_uv).ravel()
         return r
 
-    def jacobian(self) -> csr_matrix:
-        rows, cols, vals = [], [], []
+    def _observed_blocks(self):
+        """Yields (block, its first residual row, Jc, Jp) per observing camera."""
         for b in self.blocks + self.fixed_blocks:
-            n = len(b.obs_points)
-            if n == 0:
-                continue
-            Jc, Jp = b.jacobian_blocks(self.points[b.obs_points])
-            row0 = self._row_offsets[b.image_id]
-            obs_rows = row0 + 2 * np.arange(n)
+            if len(b.obs_points):
+                Jc, Jp = b.jacobian_blocks(self.points[b.obs_points])
+                yield b, self._row_offsets[b.image_id], Jc, Jp
+
+    def normal_equations(self, r):
+        """The blocks of J^T J and J^T r, accumulated camera by camera.
+
+        Returns (U, W, V, gc, gp): the camera block U (nc, nc), the
+        camera-point coupling W (nc, n_points, 3), the point blocks V
+        (n_points, 3, 3) and the camera and point gradients gc (nc,) and
+        gp (n_points, 3), where nc = ``n_cam_params``.
+        """
+        nc, n_pts = self.n_cam_params, len(self.points)
+        U = np.zeros((nc, nc))
+        W = np.zeros((nc, n_pts, 3))
+        V = np.zeros((n_pts, 3, 3))
+        gc = np.zeros(nc)
+        gp = np.zeros((n_pts, 3))
+        for b, row, Jc, Jp in self._observed_blocks():
+            pts = b.obs_points   # each point at most once per camera
+            rb = r[row : row + 2 * len(pts)].reshape(-1, 2)
+            V[pts] += np.einsum("nki,nkj->nij", Jp, Jp)
+            gp[pts] += np.einsum("nki,nk->ni", Jp, rb)
             if b.width:
-                rr = np.repeat(obs_rows[:, None, None], 2, axis=1) + np.array(
-                    [0, 1]
-                ).reshape(1, 2, 1)
-                cc = np.broadcast_to(
-                    b.offset + np.arange(b.width), (n, 2, b.width)
-                )
-                rows.append(np.broadcast_to(rr, (n, 2, b.width)).ravel())
-                cols.append(np.asarray(cc).ravel())
-                vals.append(Jc.ravel())
-            pc = self.n_cam_params + 3 * b.obs_points
-            rr = np.repeat(obs_rows[:, None, None], 2, axis=1) + np.array(
-                [0, 1]
-            ).reshape(1, 2, 1)
-            cc = pc[:, None, None] + np.arange(3).reshape(1, 1, 3)
-            rows.append(np.broadcast_to(rr, (n, 2, 3)).ravel())
-            cols.append(np.broadcast_to(cc, (n, 2, 3)).ravel())
-            vals.append(Jp.ravel())
-        rows = np.concatenate(rows)
-        cols = np.concatenate(cols)
-        vals = np.concatenate(vals)
-        return csr_matrix(
-            (vals, (rows, cols)), shape=(2 * self.n_obs, self.n_params)
-        )
+                cols = slice(b.offset, b.offset + b.width)
+                U[cols, cols] += np.einsum("nki,nkj->ij", Jc, Jc)
+                W[cols, pts] += np.einsum("nki,nkj->inj", Jc, Jp)
+                gc[cols] += np.einsum("nki,nk->i", Jc, rb)
+        return U, W, V, gc, gp
+
+    def dense_jacobian(self):
+        """The full Jacobian as one dense array (small problems only)."""
+        J = np.zeros((2 * self.n_obs, self.n_params))
+        for b, row, Jc, Jp in self._observed_blocks():
+            rows = row + np.arange(2 * len(b.obs_points))
+            J[rows, b.offset : b.offset + b.width] = Jc.reshape(len(rows), -1)
+            point_cols = self.n_cam_params + 3 * np.repeat(b.obs_points, 2)
+            J[rows[:, None], point_cols[:, None] + np.arange(3)] = Jp.reshape(-1, 3)
+        return J
 
     def apply(self, delta):
         for b in self.blocks:
@@ -431,30 +429,18 @@ class _State:
 # ---------------------------------------------------------------------------
 
 
-def _solve_schur(H, g, n_cam_params, n_points):
-    """Solve (H) d = -g by eliminating the 3x3 point blocks."""
-    nc = n_cam_params
-    if n_points == 0:
-        return np.linalg.solve(H, -g)
-    if nc == 0:
-        V = H.reshape(n_points, 3, n_points, 3)
-        Vb = np.stack([V[p, :, p, :] for p in range(n_points)])
-        return -np.einsum(
-            "pkl,pl->pk", np.linalg.inv(Vb), g.reshape(n_points, 3)
-        ).ravel()
-    B = H[:nc, :nc]
-    E = H[:nc, nc:]
-    gp = g[nc:].reshape(n_points, 3)
-    Hpp = H[nc:, nc:]
-    Vb = np.stack([Hpp[3 * p : 3 * p + 3, 3 * p : 3 * p + 3] for p in range(n_points)])
-    Vinv = np.linalg.inv(Vb)
-    EV = E.reshape(nc, n_points, 3)
-    EVinv = np.einsum("cpk,pkl->cpl", EV, Vinv)
-    S = B - EVinv.reshape(nc, -1) @ EV.reshape(nc, -1).T
-    rhs = -g[:nc] + np.einsum("cpl,pl->c", EVinv, gp)
-    dc = np.linalg.solve(S, rhs)
-    tmp = np.einsum("cpk,c->pk", EV, dc)
-    dp = np.einsum("pkl,pl->pk", Vinv, -gp - tmp)
+def _solve_schur(U, W, V, gc, gp, lam):
+    """Solve the damped normal equations for the step by eliminating the
+    3x3 point blocks.  The blocks are those of ``normal_equations``; lam
+    times its (floored) diagonal is added to the diagonal of J^T J."""
+    nc, n_pts = W.shape[:2]
+    Ud = U + np.diag(lam * np.maximum(np.diag(U), 1e-12))
+    Vdiag = np.maximum(np.diagonal(V, axis1=1, axis2=2), 1e-12)
+    Vinv = np.linalg.inv(V + lam * Vdiag[:, :, None] * np.eye(3))
+    WVinv = np.einsum("cpk,pkl->cpl", W, Vinv)
+    S = Ud - WVinv.reshape(nc, 3 * n_pts) @ W.reshape(nc, 3 * n_pts).T
+    dc = np.linalg.solve(S, -gc + np.einsum("cpl,pl->c", WVinv, gp))
+    dp = np.einsum("pkl,pl->pk", Vinv, -gp - np.einsum("cpk,c->pk", W, dc))
     return np.concatenate([dc, dp.ravel()])
 
 
@@ -468,7 +454,7 @@ def _solve_dense(H, g):
 # ---------------------------------------------------------------------------
 
 
-def adjust(problem: BaProblem, use_schur: bool = True) -> BaSolution:
+def adjust(problem: BaProblem) -> BaSolution:
     """Run damped Gauss-Newton (Levenberg-Marquardt) to convergence.
 
     Cost is the plain sum of squared pixel residuals; accepted steps are
@@ -490,21 +476,12 @@ def adjust(problem: BaProblem, use_schur: bool = True) -> BaSolution:
     lam = 1e-3
     termination = "not_converged"
     iterations = 0
-    n_points = len(state.points)
     for iterations in range(1, problem.max_iterations + 1):
-        J = state.jacobian()
-        g = np.asarray(J.T @ r).ravel()
-        H = np.asarray((J.T @ J).todense())
-        diag = np.maximum(np.diag(H), 1e-12)
+        blocks = state.normal_equations(r)
         improved = False
         while lam < 1e14:
-            Hd = H + np.diag(lam * diag)
             try:
-                delta = (
-                    _solve_schur(Hd, g, state.n_cam_params, n_points)
-                    if use_schur
-                    else _solve_dense(Hd, g)
-                )
+                delta = _solve_schur(*blocks, lam)
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
@@ -547,7 +524,7 @@ def jacobian_check(problem: BaProblem, epsilon: float = 1e-7) -> float:
     state = _State(problem)
     if state.n_params == 0:
         return 0.0
-    J = np.asarray(state.jacobian().todense())
+    J = state.dense_jacobian()
     Jn = np.zeros_like(J)
     for k in range(state.n_params):
         d = np.zeros(state.n_params)

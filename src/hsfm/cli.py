@@ -57,12 +57,6 @@ def _require_dir(path, what):
     return path
 
 
-def _require_file(path, what):
-    if not path or not os.path.isfile(path):
-        raise CliError(f"{what} not found: {path}")
-    return path
-
-
 def _load_images(directory, intrinsics=None):
     data = fileio.read_image_directory(directory)
     if not data:
@@ -103,23 +97,47 @@ def _verify_pairs(data, pairs, config, candidate_matches=None):
     return edges, rejections
 
 
-def _propose_pairs(data, config):
-    """Broad phase: histogram over the high-scale descriptor subsets, then
-    the repeated maximum spanning tree selection."""
-    ids = sorted(data)
+def _descriptor_histogram(data, config):
+    """Broad phase: histogram over the high-scale descriptor subsets."""
     subsets = []
-    for img in ids:
+    for img in sorted(data):
         size, kps, desc = data[img]
         if desc is None:
             raise CliError(f"image {img} has no descriptors; supply matches instead")
         order = np.argsort(-kps[:, 2], kind="stable")[: config.keypoints_per_image]
         subsets.append(desc[order])
-    hist = graph.broad_phase_histogram(subsets)
+    return graph.broad_phase_histogram(subsets)
+
+
+def _count_histogram(data, candidate):
+    """Broad-phase contract on supplied matches: their counts per pair."""
+    index = {img: k for k, img in enumerate(sorted(data))}
+    counts = np.zeros((len(index), len(index)), int)
+    for (i, j), m in candidate.items():
+        counts[index[i], index[j]] = counts[index[j], index[i]] = len(m)
+    return graph.MatchHistogram(counts)
+
+
+def _match(input_dir, data, config, broad_phase=False):
+    """Select pairs by repeated maximum spanning trees of a match-count
+    histogram, then verify them.  The counts come from the input's
+    matches.txt when there is one (unless ``broad_phase``), else from the
+    descriptors.  Returns (edges, rejections, selection)."""
+    matches_path = os.path.join(input_dir, "matches.txt")
+    candidate = None
+    if os.path.isfile(matches_path) and not broad_phase:
+        candidate = fileio.read_matches(matches_path)
+        hist = _count_histogram(data, candidate)
+    else:
+        hist = _descriptor_histogram(data, config)
     try:
         sel = graph.extract_m_connected_subgraph(hist, m=config.edge_connectivity)
     except graph.GraphDisconnected as exc:
         raise CliError(f"match graph disconnected: components {exc.components}")
-    return [(ids[a], ids[b]) for a, b in sel.edges], sel
+    ids = sorted(data)
+    pairs = [(ids[a], ids[b]) for a, b in sel.edges]
+    edges, rejections = _verify_pairs(data, pairs, config, candidate)
+    return edges, rejections, sel
 
 
 def _tracks_from_edges(edges, config) -> TrackSet:
@@ -152,14 +170,7 @@ def cmd_match(args):
     config = _load_config(args)
     _require_dir(args.input, "input")
     images, data = _load_images(args.input)
-    matches_path = os.path.join(args.input, "matches.txt")
-    if os.path.isfile(matches_path) and not args.broad_phase:
-        candidate = fileio.read_matches(matches_path)
-        pairs, sel = _select_pairs_from_counts(data, candidate, config)
-        edges, rejections = _verify_pairs(data, pairs, config, candidate)
-    else:
-        pairs, sel = _propose_pairs(data, config)
-        edges, rejections = _verify_pairs(data, pairs, config)
+    edges, rejections, sel = _match(args.input, data, config, args.broad_phase)
     out = args.out or os.path.join(args.input, "verified_matches.txt")
     fileio.write_edges(out, edges)
     print(
@@ -169,36 +180,11 @@ def cmd_match(args):
     return 0 if edges else 1
 
 
-def _select_pairs_from_counts(data, candidate, config):
-    """Broad-phase contract on supplied match counts: keep the union of
-    repeated maximum spanning trees of the count graph."""
-    ids = sorted(data)
-    index = {img: k for k, img in enumerate(ids)}
-    counts = np.zeros((len(ids), len(ids)), int)
-    for (i, j), m in candidate.items():
-        counts[index[i], index[j]] = counts[index[j], index[i]] = len(m)
-    try:
-        sel = graph.extract_m_connected_subgraph(
-            graph.MatchHistogram(counts), m=config.edge_connectivity
-        )
-    except graph.GraphDisconnected as exc:
-        raise CliError(f"match graph disconnected: components {exc.components}")
-    return [(ids[a], ids[b]) for a, b in sel.edges], sel
-
-
 def _load_edges_or_verify(args, config, data):
     verified = os.path.join(args.input, "verified_matches.txt")
     if os.path.isfile(verified):
         return fileio.read_edges(verified)
-    matches_path = os.path.join(args.input, "matches.txt")
-    if os.path.isfile(matches_path):
-        candidate = fileio.read_matches(matches_path)
-        pairs, _ = _select_pairs_from_counts(data, candidate, config)
-        edges, _ = _verify_pairs(data, pairs, config, candidate)
-        return edges
-    pairs, _ = _propose_pairs(data, config)
-    edges, _ = _verify_pairs(data, pairs, config)
-    return edges
+    return _match(args.input, data, config)[0]
 
 
 def cmd_cluster(args):

@@ -447,32 +447,19 @@ def build_tracks(edges, min_track_length: int = 3) -> TrackSet:
     component visiting any image twice is inconsistent and dropped, as are
     components spanning fewer than ``min_track_length`` images.
     """
-    parent = {}
-
-    def find(x):
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(a, b):
-        for node in (a, b):
-            if node not in parent:
-                parent[node] = node
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
+    links = []
     for edge in edges:
         i, j = edge.pair
-        for ka, kb in np.asarray(edge.matches, int):
-            union((i, int(ka)), (j, int(kb)))
+        links.extend(
+            ((i, int(ka)), (j, int(kb))) for ka, kb in np.asarray(edge.matches, int)
+        )
+    uf = _UnionFind(node for link in links for node in link)
+    for a, b in links:
+        uf.union(a, b)
 
     groups = {}
-    for node in parent:
-        groups.setdefault(find(node), []).append(node)
+    for node in uf.parent:
+        groups.setdefault(uf.find(node), []).append(node)
 
     tracks = []
     for nodes in groups.values():

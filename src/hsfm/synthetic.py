@@ -56,9 +56,6 @@ class SyntheticScene:
         w, h = self.image_size
         return float(np.hypot(w, h))
 
-    def intrinsics_of(self, image_id) -> geo.Intrinsics:
-        return self.cameras[image_id].intrinsics
-
 
 def _camera_ring(n, radius, focal, image_size, rng, target_fraction=0.0, z_amp=1.0):
     w, h = image_size

@@ -34,9 +34,5 @@ class TrackSet:
     def __getitem__(self, i) -> Track:
         return self.tracks[i]
 
-    def through(self, image_id) -> list:
-        """Indices of tracks passing through an image."""
-        return [i for i, t in enumerate(self.tracks) if image_id in t.members]
-
     def as_key_set(self):
         return {t.key() for t in self.tracks}

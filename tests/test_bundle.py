@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
@@ -191,35 +193,96 @@ def test_gauge_invariance_of_final_cost():
 # ---------------------------------------------------------------------------
 
 
-def test_schur_equals_dense_normal_solve():
-    rng = np.random.default_rng(10)
+def _dense_step(U, W, V, gc, gp, lam):
+    """The damped step from the full J^T J assembled out of the same blocks."""
+    nc, n_pts = W.shape[:2]
+    H = np.zeros((nc + 3 * n_pts, nc + 3 * n_pts))
+    H[:nc, :nc] = U
+    H[:nc, nc:] = W.reshape(nc, -1)
+    H[nc:, :nc] = W.reshape(nc, -1).T
+    for p in range(n_pts):
+        H[nc + 3 * p : nc + 3 * p + 3, nc + 3 * p : nc + 3 * p + 3] = V[p]
+    Hd = H + np.diag(lam * np.maximum(np.diag(H), 1e-12))
+    return bundle._solve_dense(Hd, np.concatenate([gc, gp.ravel()]))
+
+
+@pytest.mark.parametrize(
+    "parameterization, fixed_ids",
+    [
+        (bundle.PARAM_EUCLIDEAN_FIXED_K, ()),
+        (bundle.PARAM_EUCLIDEAN_FREE_K, ()),
+        (bundle.PARAM_PROJECTIVE, ()),
+        (bundle.PARAM_EUCLIDEAN_FIXED_K, (0, 1)),
+    ],
+    ids=["fixed_k", "free_k", "projective", "fixed_k_anchored"],
+)
+def test_schur_equals_dense_normal_solve(parameterization, fixed_ids):
+    # widths 6, 10 (4 for the free-K gauge camera) and 12, the zero-width
+    # gauge camera, and fixed cameras that own no parameters
     scene = small_scene(seed=10, n_cams=4, n_pts=25, noise=0.5)
     problem = build_problem(
-        scene, bundle.PARAM_EUCLIDEAN_FIXED_K, perturb_points=3e-3, perturb_cams=2e-3
+        scene,
+        parameterization,
+        perturb_points=3e-3,
+        perturb_cams=2e-3,
+        fixed_ids=fixed_ids,
+        radial=-0.02 if parameterization == bundle.PARAM_EUCLIDEAN_FREE_K else 0.0,
     )
     state = bundle._State(problem)
     r = state.residuals()
-    J = np.asarray(state.jacobian().todense())
-    g = J.T @ r
+    U, W, V, gc, gp = state.normal_equations(r)
+    J = state.dense_jacobian()
     H = J.T @ J
+    g = J.T @ r
+    nc, n_pts = state.n_cam_params, len(state.points)
+    assert W.shape == (nc, n_pts, 3)
+    tol = 1e-10 * max(1.0, np.max(np.abs(H)))
+    assert np.max(np.abs(U - H[:nc, :nc]), initial=0.0) < tol
+    assert np.max(np.abs(W.reshape(nc, -1) - H[:nc, nc:]), initial=0.0) < tol
+    Hpp = H[nc:, nc:].reshape(n_pts, 3, n_pts, 3).copy()
+    for p in range(n_pts):
+        assert np.max(np.abs(V[p] - Hpp[p, :, p, :])) < tol
+        Hpp[p, :, p, :] = 0.0
+    assert not Hpp.any()   # no coupling between different points
+    assert np.max(np.abs(np.concatenate([gc, gp.ravel()]) - g)) < 1e-10 * max(
+        1.0, np.max(np.abs(g))
+    )
     for lam in (1e-3, 1e-1, 10.0):
         Hd = H + np.diag(lam * np.maximum(np.diag(H), 1e-12))
-        d_schur = bundle._solve_schur(Hd, g, state.n_cam_params, len(state.points))
-        d_dense = np.linalg.solve(Hd, -g)
+        d_schur = bundle._solve_schur(U, W, V, gc, gp, lam)
+        d_dense = bundle._solve_dense(Hd, g)
         assert np.max(np.abs(d_schur - d_dense)) < 1e-8 * max(
             1.0, np.max(np.abs(d_dense))
         )
 
 
-def test_adjust_same_result_with_and_without_schur():
+def test_adjust_same_result_with_and_without_schur(monkeypatch):
     scene = small_scene(seed=11, noise=0.4)
     p1 = build_problem(scene, bundle.PARAM_EUCLIDEAN_FIXED_K, perturb_points=2e-3)
     p2 = build_problem(scene, bundle.PARAM_EUCLIDEAN_FIXED_K, perturb_points=2e-3)
-    a = bundle.adjust(p1, use_schur=True)
-    b = bundle.adjust(p2, use_schur=False)
+    a = bundle.adjust(p1)
+    monkeypatch.setattr(bundle, "_solve_schur", _dense_step)
+    b = bundle.adjust(p2)
+    assert b.report.iterations > 0
     assert abs(a.report.final_cost - b.report.final_cost) < 1e-8 * max(
         1.0, a.report.final_cost
     )
+
+
+def test_adjust_memory_linear_in_points():
+    # a dense (n_params x n_params) normal matrix here would take 74 MB
+    scene = small_scene(seed=3, n_cams=3, n_pts=1500, noise=0.5)
+    problem = build_problem(scene, bundle.PARAM_EUCLIDEAN_FIXED_K, perturb_points=1e-3)
+    problem.max_iterations = 3
+    assert len(problem.tie_points) > 500
+    tracemalloc.start()
+    try:
+        sol = bundle.adjust(problem)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sol.report.iterations > 0
+    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 # ---------------------------------------------------------------------------
