@@ -152,7 +152,7 @@ def _rotation_to_x_axis(t) -> np.ndarray:
     return np.eye(3) + Wx + Wx @ Wx * (1.0 - c) / (s * s)
 
 
-def _normalized_cameras(model: geo.Model, image_sizes):
+def normalized_model_cameras(model: geo.Model, image_sizes):
     """Viewport-normalize every camera and send the first one to [I | 0].
 
     Returns (ids, canonical (n,3,4) stack, per-camera viewports, the 4x4
@@ -303,7 +303,7 @@ def upgrade(model: geo.Model, image_sizes, config: AutocalConfig = None) -> geo.
     if len(model.cameras) < 2:
         raise ValueError("upgrade needs at least two cameras")
     config = config or AutocalConfig()
-    ids, canon, Vs, G = _normalized_cameras(model, image_sizes)
+    ids, canon, Vs, G = normalized_model_cameras(model, image_sizes)
     f1, f2, r, _ = grid_search(canon, config.weights, config)
     upgrade_h, _ = refine(f1, f2, canon, config.weights, config)
     H = upgrade_h.H
@@ -323,8 +323,3 @@ def upgrade(model: geo.Model, image_sizes, config: AutocalConfig = None) -> geo.
     out.frame = geo.EUCLIDEAN
     out, _ = geo.cheirality_enforce(out)
     return out
-
-
-def normalized_model_cameras(model: geo.Model, image_sizes):
-    """Public wrapper exposing the normalization used by the upgrade."""
-    return _normalized_cameras(model, image_sizes)

@@ -287,23 +287,15 @@ class _State:
         ).reshape(-1, 3)
         n_pts = len(self.points)
 
-        # observations per camera block, ordered deterministically
-        all_cams = {b.image_id: b for b in self.blocks + self.fixed_blocks}
-        per_cam = {img: ([], []) for img in all_cams}
-        for k, tp in enumerate(problem.tie_points):
-            for img, uv in tp.track.items():
-                if img in per_cam:
-                    per_cam[img][0].append(k)
-                    per_cam[img][1].append(np.asarray(uv, float))
-        self.n_obs = 0
-        for img, block in all_cams.items():
-            idx, uv = per_cam[img]
-            order = np.argsort(idx, kind="stable")
-            block.obs_points = np.asarray(idx, int)[order]
-            block.obs_uv = (
-                np.asarray(uv, float)[order] if idx else np.zeros((0, 2))
-            )
-            self.n_obs += len(idx)
+        # observations per camera block, ordered by point
+        point, image, uv = geo.observations(
+            problem.tie_points, [b.image_id for b in self.blocks + self.fixed_blocks]
+        )
+        for b in self.blocks + self.fixed_blocks:
+            rows = image == b.image_id
+            b.obs_points = point[rows]
+            b.obs_uv = uv[rows]
+        self.n_obs = len(point)
 
         # parameter layout: cameras then points
         offset = 0

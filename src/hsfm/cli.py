@@ -235,45 +235,19 @@ def cmd_sam(args):
 
 
 def cmd_eval(args):
-    from . import geometry as geo
-
     _require_dir(args.truth, "truth")
     _require_dir(args.model, "model")
     scene = fileio.read_scene(args.truth)
     model = fileio.read_model(args.model, stem=args.stem)
-
-    est, true = [], []
-    for tp in model.tie_points:
-        members = getattr(tp, "observed_keypoints", None)
-        if not members:
-            continue
-        votes = {}
-        for img, kp in members.items():
-            mapping = scene.kp_to_point.get(img)
-            if mapping is not None and kp < len(mapping):
-                p = int(mapping[kp])
-                votes[p] = votes.get(p, 0) + 1
-        if not votes:
-            continue
-        p = max(votes, key=lambda q: (votes[q], -q))
-        est.append(tp.position)
-        true.append(scene.points[p])
-    if len(est) < 3:
+    try:
+        cmp = synthetic.compare_to_truth(model, scene)
+    except synthetic.TooFewCorrespondences:
         raise CliError("model shares too few points with the truth", code=1)
-    est = np.array(est)
-    true = np.array(true)
-    s, R, t = geo.absolute_orientation_similarity(est, true)
-    aligned = geo.apply_similarity(est, s, R, t)
-    rms = float(np.sqrt(np.mean(np.sum((aligned - true) ** 2, axis=1))))
-    print(f"control-point registration over {len(est)} points: RMS {rms:.6f}")
-
-    focal_errors = []
-    for img, cam in model.cameras.items():
-        if cam.kind == "euclidean" and img in scene.cameras:
-            true_f = scene.cameras[img].intrinsics.focal
-            focal_errors.append(abs(cam.intrinsics.focal - true_f) / true_f)
-    if focal_errors:
-        print(f"median focal error {100 * float(np.median(focal_errors)):.3f}%")
+    rms = cmp.similarity_rms
+    print(f"control-point registration over {cmp.n_points} points: RMS {rms:.6f}")
+    if cmp.focal_errors:
+        median = float(np.median(list(cmp.focal_errors.values())))
+        print(f"median focal error {100 * median:.3f}%")
     if args.rms_threshold is not None and rms > args.rms_threshold:
         raise CliError(f"RMS {rms} above {args.rms_threshold}", code=1)
     return 0

@@ -119,22 +119,28 @@ def select_local_ba_scope(small_ids, model: geo.Model):
     seen only by anchor cameras are left out entirely.
     """
     small = set(small_ids)
-    big = set(model.cameras) - small
-    shared = set()
-    for tp in model.tie_points:
-        members = set(tp.track) & set(model.cameras)
-        if members & small:
-            shared |= members & big
-    free = small | shared
-    active = [
-        k
-        for k, tp in enumerate(model.tie_points)
-        if tp.status == geo.TRIANGULATED and set(tp.track) & free
-    ]
-    fixed = set()
-    for k in active:
-        fixed |= (set(model.tie_points[k].track) & set(model.cameras)) - free
+    point, image, _ = geo.observations(model.tie_points, model.cameras)
+
+    def seen_by(ids):
+        out = np.zeros(len(model.tie_points), bool)
+        out[point[np.isin(image, list(ids))]] = True
+        return out
+
+    free = small | set(image[seen_by(small)[point]].tolist())
+    triangulated = np.array(
+        [tp.status == geo.TRIANGULATED for tp in model.tie_points], bool
+    )
+    active_mask = triangulated & seen_by(free)
+    active = np.flatnonzero(active_mask).tolist()
+    fixed = set(image[active_mask[point]].tolist()) - free
     return sorted(free), sorted(fixed), active
+
+
+def _center_or_nan(camera: geo.Camera) -> np.ndarray:
+    try:
+        return camera.center()
+    except geo.Degenerate:  # centre at infinity
+        return np.full(3, np.nan)
 
 
 class Engine:
@@ -211,44 +217,50 @@ class Engine:
         per-image safeguard threshold (the tighter final one when ``final``).
         """
         self.sync_tie_points(model, allow_short)
-        candidates = []
-        for tp in model.tie_points:
-            members = [img for img in tp.track if img in model.cameras]
-            if len(members) < 2:
-                continue
-            obs = [(model.cameras[img], tp.track[img]) for img in members]
-            try:
-                res = geo.triangulate(
-                    obs, condition_limit=self.config.condition_limit
-                )
-            except geo.GeometryError:
-                if tp.status == geo.TRIANGULATED:
-                    tp.status = geo.PENDING
-                    tp.position = None
-                continue
-            errors = {
-                img: float(
-                    np.linalg.norm(
-                        geo.project(model.cameras[img], res.point) - tp.track[img]
-                    )
-                )
-                for img in members
-            }
-            candidates.append((tp, res, errors))
-        if not candidates:
-            return
-        population = np.array([r.max_reproj_error for _, r, _ in candidates])
-        mask = robust.x84_inliers(population)
-        for (tp, res, errors), keep in zip(candidates, mask):
-            ok = bool(keep) and all(
-                errors[img] <= self.reproj_threshold(img, final) for img in errors
+        point, image, uv = geo.observations(model.tie_points, model.cameras)
+        order = np.lexsort((image, point))  # each point's views together
+        point, image, uv = point[order], image[order], uv[order]
+        members = np.bincount(point, minlength=len(model.tie_points))
+        ids = sorted(model.cameras)
+        view = np.searchsorted(ids, image)
+        cams = [model.cameras[img] for img in ids]
+        P = np.array([cam.P for cam in cams])
+        centers = np.array([_center_or_nan(cam) for cam in cams])
+        radial = np.array(
+            [cam.radial if cam.kind == geo.EUCLIDEAN else 0.0 for cam in cams]
+        )
+        calib = np.array(
+            [cam.intrinsics.K if cam.kind == geo.EUCLIDEAN else np.eye(3) for cam in cams]
+        )
+        gate = np.array([self.reproj_threshold(img, final) for img in ids])
+
+        X = np.zeros((len(model.tie_points), 3))
+        worst = np.zeros(len(model.tie_points))
+        solved = np.zeros(len(model.tie_points), bool)
+        within = np.zeros(len(model.tie_points), bool)
+        for m in np.unique(members[members >= 2]):
+            rows = members[point] == m
+            pts = point[rows][::m]
+            v = view[rows].reshape(-1, m)
+            X[pts], errors, solved[pts] = geo.triangulate(
+                P[v],
+                uv[rows].reshape(-1, m, 2),
+                centers[v],
+                distortion=(calib[v], radial[v]),
+                condition_limit=self.config.condition_limit,
             )
-            if ok:
-                tp.position = res.point
+            worst[pts] = np.max(errors, axis=1)
+            within[pts] = np.all(errors <= gate[v], axis=1)
+        keep = np.zeros(len(model.tie_points), bool)
+        if solved.any():
+            keep[solved] = robust.x84_inliers(worst[solved]) & within[solved]
+        for k in np.flatnonzero(members >= 2):
+            tp = model.tie_points[k]
+            if keep[k]:
+                tp.position = X[k].copy()
                 tp.status = geo.TRIANGULATED
-            else:
-                if tp.status == geo.TRIANGULATED:
-                    tp.position = None
+            elif tp.status == geo.TRIANGULATED:
+                tp.position = None
                 tp.status = geo.PENDING
 
     # -- bundle adjustment --------------------------------------------------
@@ -303,36 +315,24 @@ class Engine:
 
     # -- quality gates ------------------------------------------------------
 
-    def _observation_errors(self, model: geo.Model):
-        errs, gates = [], []
-        for tp in model.tie_points:
-            if tp.status != geo.TRIANGULATED:
-                continue
-            for img in tp.track:
-                cam = model.cameras.get(img)
-                if cam is None:
-                    continue
-                errs.append(
-                    float(np.linalg.norm(geo.project(cam, tp.position) - tp.track[img]))
-                )
-                gates.append(self.reproj_threshold(img))
-        return np.array(errs), np.array(gates)
-
     def _posterior_check(self, model: geo.Model, what: str):
         tps = model.triangulated()
         if len(tps) < self.config.min_stereo_points:
             raise RejectedPair("aPosteriori", f"{what}: only {len(tps)} points")
-        errs, gates = self._observation_errors(model)
+        point, image, uv = geo.observations(tps, model.cameras)
+        X = np.array([tp.position for tp in tps])[point]
+        errs = np.zeros(len(point))
+        depths = np.zeros(len(point))
+        for img, cam in model.cameras.items():
+            rows = image == img
+            errs[rows] = geo.reprojection_errors(cam, X[rows], uv[rows])
+            depths[rows] = geo.point_depths(cam, X[rows])
+        gates = np.array([self.reproj_threshold(img) for img in image.tolist()])
         if errs.size == 0 or np.mean(errs) > np.mean(gates):
             raise RejectedPair(
                 "aPosteriori", f"{what}: mean residual {np.mean(errs):.2f} px"
             )
-        behind = 0
-        for tp in tps:
-            cams = [model.cameras[i] for i in tp.track if i in model.cameras]
-            depths = [geo.point_depths(c, tp.position)[0] for c in cams]
-            if not all(d > 0 for d in depths):
-                behind += 1
+        behind = np.unique(point[~(depths > 0)]).size
         if behind > self.config.max_cheirality_fail * len(tps):
             raise RejectedPair("aPosteriori", f"{what}: {behind} points behind")
 
@@ -451,13 +451,9 @@ class Engine:
         return model
 
     def resection_intersection(self, model: geo.Model, img) -> geo.Model:
-        points3d, points2d = [], []
-        for tp in model.triangulated():
-            if img in tp.track:
-                points3d.append(tp.position)
-                points2d.append(tp.track[img])
-        points3d = np.array(points3d).reshape(-1, 3)
-        points2d = np.array(points2d).reshape(-1, 2)
+        tps = model.triangulated()
+        point, _, points2d = geo.observations(tps, [img])
+        points3d = np.array([tps[k].position for k in point]).reshape(-1, 3)
         calibrated = self.config.mode == CALIBRATED
         minimum = 4 if calibrated else 6
         if len(points3d) < minimum:

@@ -47,7 +47,6 @@ class PipelineConfig:
 
     mode: str = "calibrated"
     rng_seed: int = 0
-    workers: int = 1
     # matching, broad phase
     keypoints_per_image: int = 300
     edge_connectivity: int = 8

@@ -31,15 +31,6 @@ class DegenerateConfiguration(GeometryError):
     """Design matrix of a linear solver lost rank."""
 
 
-class IllConditioned(GeometryError):
-    """Linear system exceeded the condition-number limit."""
-
-    def __init__(self, condition, limit):
-        super().__init__(f"condition number {condition:.3e} exceeds {limit:.3e}")
-        self.condition = condition
-        self.limit = limit
-
-
 class NoCheiralSolution(GeometryError):
     """No motion candidate places a majority of points in front of both cameras."""
 
@@ -197,14 +188,25 @@ class Model:
             frame=self.frame,
         )
 
-    def validate(self):
-        for tp in self.triangulated():
-            observing = [i for i in tp.track if i in self.cameras]
-            if len(observing) < 2:
-                raise ValueError("triangulated tie-point seen by < 2 model cameras")
-        if self.frame == EUCLIDEAN:
-            if any(c.kind != EUCLIDEAN for c in self.cameras.values()):
-                raise ValueError("Euclidean model contains projective cameras")
+
+def observations(tie_points, camera_ids):
+    """Every observation of ``tie_points`` by a camera in ``camera_ids``.
+
+    Returns (point, image, uv): indices into ``tie_points`` (n,), image ids
+    (n,) and observed pixels (n, 2), ordered by image and then by point.
+    """
+    cams = set(camera_ids)
+    point, image, uv = [], [], []
+    for k, tp in enumerate(tie_points):
+        for img, x in tp.track.items():
+            if img in cams:
+                point.append(k)
+                image.append(img)
+                uv.append(x)
+    point = np.array(point, int)
+    image = np.array(image, int)
+    order = np.lexsort((point, image))
+    return point[order], image[order], np.array(uv, float).reshape(-1, 2)[order]
 
 
 # ---------------------------------------------------------------------------
@@ -623,72 +625,100 @@ def relative_orientation(E, pts1_norm, pts2_norm):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class TriangulationResult:
-    point: np.ndarray
-    condition: float
-    max_reproj_error: float
-
-
 def triangulate(
-    observations,
+    cameras,
+    pixels,
+    centers,
+    distortion=None,
     condition_limit: float = 1e4,
     max_iterations: int = 10,
     tol: float = 1e-8,
-) -> TriangulationResult:
-    """Multi-view intersection by the iterated linear least-squares method.
+):
+    """Multi-view intersection of n points, each seen by m views, by the
+    iterated linear least-squares method.
 
-    Each round solves the inhomogeneous DLT system with rows reweighted by
-    the previous projective depths, until the weights settle.
+    Each round solves every point's inhomogeneous DLT system with rows
+    reweighted by the previous projective depths; a point is frozen once its
+    weights settle.
 
     Parameters
     ----------
-    observations : sequence of (Camera, (2,) pixel) pairs, >= 2 entries.
+    cameras : (n, m, 3, 4) camera matrices.
+    pixels : (n, m, 2) observed positions.
+    centers : (n, m, 3) camera centres, non-finite for a camera whose centre
+        is at infinity.
+    distortion : optional pair of (n, m, 3, 3) calibrations and (n, m)
+        radial coefficients; a view with a nonzero coefficient has its error
+        measured through the distortion, as ``project`` does.  The
+        intersection itself uses the camera matrices only.
     condition_limit : gate on the condition number of the final system.
 
-    Raises
-    ------
-    Degenerate  when all camera centres coincide (zero baseline).
-    IllConditioned  when the final system condition exceeds the limit.
+    Returns
+    -------
+    (points (n, 3), errors (n, m) pixel reprojection errors, ok (n,)).  A
+    point is not ok when its camera centres coincide (zero baseline) or one
+    is not finite, when its final system's condition number exceeds the
+    limit, or when it lies on the principal plane of one of its views; its
+    position and errors are then meaningless.
     """
-    if len(observations) < 2:
-        raise ValueError("triangulation needs >= 2 observations")
-    cams = [c for c, _ in observations]
-    xs = np.array([np.asarray(x, float).reshape(2) for _, x in observations])
-    centers = np.array([c.center() for c in cams])
-    spread = np.max(np.linalg.norm(centers - centers[0], axis=1))
-    if spread < 1e-12 * max(1.0, np.max(np.abs(centers))):
-        raise Degenerate("zero baseline between observations")
+    P = np.asarray(cameras, float)
+    x = np.asarray(pixels, float)
+    centers = np.asarray(centers, float)
+    n, m = x.shape[:2]
+    if m < 2:
+        raise ValueError("triangulation needs >= 2 views")
+    spread = np.max(np.linalg.norm(centers - centers[:, :1], axis=2), axis=1)
+    scale = np.maximum(1.0, np.max(np.abs(centers), axis=(1, 2)))
+    ok = np.all(np.isfinite(centers), axis=(1, 2)) & ~(spread < 1e-12 * scale)
 
-    Ps = np.array([c.P for c in cams])
-    m = len(cams)
-    rows_a = np.empty((2 * m, 3))
-    rows_b = np.empty(2 * m)
-    rows_a[0::2] = xs[:, 0, None] * Ps[:, 2, :3] - Ps[:, 0, :3]
-    rows_a[1::2] = xs[:, 1, None] * Ps[:, 2, :3] - Ps[:, 1, :3]
-    rows_b[0::2] = Ps[:, 0, 3] - xs[:, 0] * Ps[:, 2, 3]
-    rows_b[1::2] = Ps[:, 1, 3] - xs[:, 1] * Ps[:, 2, 3]
+    A = np.empty((n, m, 2, 3))
+    b = np.empty((n, m, 2))
+    A[:, :, 0] = x[..., 0, None] * P[:, :, 2, :3] - P[:, :, 0, :3]
+    A[:, :, 1] = x[..., 1, None] * P[:, :, 2, :3] - P[:, :, 1, :3]
+    b[:, :, 0] = P[:, :, 0, 3] - x[..., 0] * P[:, :, 2, 3]
+    b[:, :, 1] = P[:, :, 1, 3] - x[..., 1] * P[:, :, 2, 3]
+    A = A.reshape(n, 2 * m, 3)
+    b = b.reshape(n, 2 * m)
 
-    weights = np.ones(m)
-    X = None
-    condition = np.inf
+    X = np.full((n, 3), np.nan)
+    condition = np.full(n, np.inf)
+    weights = np.ones((n, m))
+    active = np.flatnonzero(ok)
     for _ in range(max_iterations):
-        w = np.repeat(weights, 2)
-        Aw = rows_a / w[:, None]
-        bw = rows_b / w
-        X, _, _, sv = np.linalg.lstsq(Aw, bw, rcond=None)
-        condition = sv[0] / sv[-1] if sv[-1] > 0 else np.inf
-        depths = Ps[:, 2, :3] @ X + Ps[:, 2, 3]
-        new_weights = np.where(np.abs(depths) < 1e-12, 1e-12, depths)
-        if np.max(np.abs(new_weights - weights)) < tol:
-            weights = new_weights
+        if active.size == 0:
             break
-        weights = new_weights
+        w = np.repeat(weights[active], 2, axis=1)
+        u, s, vt = np.linalg.svd(A[active] / w[..., None], full_matrices=False)
+        # least squares by the pseudo-inverse, with lstsq's default cutoff
+        kept = s > np.finfo(float).eps * 2 * m * s[:, :1]
+        s_inv = np.divide(1.0, s, out=np.zeros_like(s), where=kept)
+        coef = s_inv * np.einsum("kri,kr->ki", u, b[active] / w)
+        X[active] = np.einsum("kij,ki->kj", vt, coef)
+        condition[active] = np.divide(
+            s[:, 0], s[:, -1], out=np.full(len(s), np.inf), where=s[:, -1] > 0
+        )
+        depths = np.einsum("kvj,kj->kv", P[active, :, 2, :3], X[active])
+        depths += P[active, :, 2, 3]
+        new_weights = np.where(np.abs(depths) < 1e-12, 1e-12, depths)
+        settled = np.max(np.abs(new_weights - weights[active]), axis=1) < tol
+        weights[active] = new_weights
+        active = active[~settled]
+    ok &= condition <= condition_limit
 
-    if condition > condition_limit:
-        raise IllConditioned(condition, condition_limit)
-    errors = [float(np.linalg.norm(project(c, X) - x)) for c, x in zip(cams, xs)]
-    return TriangulationResult(point=X, condition=float(condition), max_reproj_error=max(errors))
+    xh = np.einsum("nvij,nj->nvi", P[..., :3], X) + P[..., 3]
+    depth = xh[..., 2]
+    ok &= np.all(np.abs(depth) >= 1e-12, axis=1)
+    depth = np.where(np.abs(depth) < 1e-12, 1.0, depth)
+    proj = xh[..., :2] / depth[..., None]
+    if distortion is not None:
+        K, k1 = (np.asarray(a, float) for a in distortion)
+        # back to normalized coordinates through the upper-triangular K
+        yn = (proj[..., 1] - K[..., 1, 2]) / K[..., 1, 1]
+        xn = (proj[..., 0] - K[..., 0, 2] - K[..., 0, 1] * yn) / K[..., 0, 0]
+        xd = apply_radial(np.stack([xn, yn], axis=-1), k1[..., None])
+        distorted = np.einsum("nvij,nvj->nvi", K[..., :2, :2], xd) + K[..., :2, 2]
+        proj = np.where((k1 != 0.0)[..., None], distorted, proj)
+    return X, np.linalg.norm(proj - x, axis=2), ok
 
 
 # ---------------------------------------------------------------------------
@@ -940,23 +970,14 @@ def cheirality_enforce(model: Model):
     tps = model.triangulated()
     if not tps:
         return model, CheiralityInfo(flipped=False, tied=False, front_fraction=1.0)
-    front = 0
-    behind = 0
-    for tp in tps:
-        pos = 0
-        neg = 0
-        for img in tp.track:
-            cam = model.cameras.get(img)
-            if cam is None:
-                continue
-            if point_depths(cam, tp.position)[0] > 0:
-                pos += 1
-            else:
-                neg += 1
-        if pos >= neg:
-            front += 1
-        else:
-            behind += 1
+    point, image, _ = observations(tps, model.cameras)
+    X = np.array([tp.position for tp in tps])[point]
+    votes = np.zeros(len(point))
+    for img, cam in model.cameras.items():
+        rows = image == img
+        votes[rows] = np.where(point_depths(cam, X[rows]) > 0, 1.0, -1.0)
+    front = int(np.sum(np.bincount(point, votes, minlength=len(tps)) >= 0))
+    behind = len(tps) - front
     total = front + behind
     if behind > front:
         return reflect_model(model), CheiralityInfo(

@@ -7,6 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import geometry as geo
+
 
 class RobustError(Exception):
     pass
@@ -205,7 +207,7 @@ def msac(
         sample = _draw_sample(rng, n, sample_size, buckets)
         try:
             models = minimal_solver(data, sample)
-        except Exception:
+        except (geo.GeometryError, np.linalg.LinAlgError):
             continue
         if models is None:
             continue
@@ -249,7 +251,7 @@ def msac(
             model = candidate
             mask = np.abs(e_new) < gate
             e = e_new
-    except Exception:
+    except (geo.GeometryError, np.linalg.LinAlgError):
         pass  # keep the hypothesis when the refit degenerates
     if mask.sum() < sample_size:
         raise NoConsensus("refit lost the consensus set")

@@ -301,14 +301,19 @@ class TruthComparison:
 
 
 def _tie_point_truth_index(tp, scene, tracks):
+    """The scene point a tie-point reconstructs: direct for the scene's own
+    tracks, else the majority vote of its keypoints (a model read from disk
+    carries its keypoints instead of a track index)."""
     if tp.track_index is None:
-        return None
-    if tracks is scene.tracks or tracks is None:
+        members = getattr(tp, "observed_keypoints", None) or {}
+    elif tracks is scene.tracks:
         if tp.track_index < len(scene.track_point_ids):
             return scene.track_point_ids[tp.track_index]
         return None
+    else:
+        members = tracks[tp.track_index].members
     votes = {}
-    for img, kp in tracks[tp.track_index].members.items():
+    for img, kp in members.items():
         mapping = scene.kp_to_point.get(img)
         if mapping is not None and kp < len(mapping):
             p = int(mapping[kp])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hsfm import engine, geometry as geo, graph, robust, synthetic
+from hsfm import engine, fileio, geometry as geo, graph, robust, synthetic
 from hsfm.tracks import TrackSet
 
 
@@ -198,6 +198,21 @@ def test_autocalibrated_ring_recovers_focals():
     for img, err in cmp.focal_errors.items():
         assert err < 0.02
     assert cmp.similarity_rms < 0.01
+
+
+def test_compare_to_truth_same_after_model_round_trip(tmp_path):
+    # a model read from disk has no track indices; its keypoints vote for
+    # the scene points instead and must give the same registration
+    scene = synthetic.generate("ring", 6, 120, seed=31, noise_sigma=0.3)
+    model = run_scene(scene, mode=engine.AUTOCALIBRATED).models[0]
+    direct = synthetic.compare_to_truth(model, scene)
+    fileio.write_model(model, tmp_path, stem="m", tracks=scene.tracks)
+    again = synthetic.compare_to_truth(fileio.read_model(tmp_path, stem="m"), scene)
+    assert again.n_points == direct.n_points
+    assert abs(again.similarity_rms - direct.similarity_rms) < 1e-9
+    assert direct.focal_errors and again.focal_errors.keys() == direct.focal_errors.keys()
+    for img, err in direct.focal_errors.items():
+        assert abs(again.focal_errors[img] - err) < 1e-9
 
 
 def test_autocalibrated_small_model_stays_projective_until_threshold():

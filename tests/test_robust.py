@@ -186,6 +186,25 @@ def test_msac_insufficient_data():
         robust.msac(np.zeros((1, 2)), line_solver, line_residual, line_config(), 2)
 
 
+def test_msac_propagates_programming_errors():
+    # only degenerate samples (geometry or linear-algebra failures) are
+    # skipped; any other exception from a solver is a bug and must surface
+    rng = np.random.default_rng(2)
+    data, _ = line_data(rng, outlier_rate=0.0)
+
+    def broken_solver(data, idx):
+        raise TypeError("solver bug")
+
+    with pytest.raises(TypeError):
+        robust.msac(data, broken_solver, line_residual, line_config(), sample_size=2)
+
+    def degenerate_solver(data, idx):
+        raise geo.DegenerateConfiguration("collinear sample")
+
+    with pytest.raises(robust.NoConsensus):
+        robust.msac(data, degenerate_solver, line_residual, line_config(), sample_size=2)
+
+
 def test_msac_rejects_outliers():
     recovered = []
     for seed in range(20):
