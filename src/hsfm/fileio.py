@@ -26,6 +26,17 @@ class ParseError(Exception):
         self.line_no = line_no
 
 
+def _floats(path, line_no, fields, what):
+    """``fields`` as floats; a nan or inf is a ParseError naming the line."""
+    try:
+        values = [float(v) for v in fields]
+    except ValueError:
+        raise ParseError(path, line_no, f"bad {what}")
+    if not all(np.isfinite(values)):
+        raise ParseError(path, line_no, f"non-finite value in {what}")
+    return values
+
+
 def _fmt(x: float) -> str:
     # repr is the shortest decimal (at most 17 significant digits) that
     # round-trips the double exactly
@@ -192,9 +203,9 @@ def read_keypoints(path):
     try:
         _, img, w, h = lines[0].split()
         image_id = int(img)
-        size = (float(w), float(h))
     except ValueError:
         raise ParseError(path, 1, "bad image header")
+    size = tuple(_floats(path, 1, (w, h), "image header"))
     try:
         head = lines[1].split()
         count, dim = int(head[1]), int(head[3])
@@ -204,10 +215,9 @@ def read_keypoints(path):
     desc = np.zeros((count, dim)) if dim else None
     for k in range(count):
         no = 3 + k
-        try:
-            vals = [float(v) for v in lines[2 + k].split()]
-        except (IndexError, ValueError):
+        if 2 + k >= len(lines):
             raise ParseError(path, no, "bad or missing keypoint row")
+        vals = _floats(path, no, lines[2 + k].split(), "keypoint row")
         if len(vals) != 4 + dim:
             raise ParseError(path, no, f"expected {4 + dim} values")
         kps[k] = vals[:4]
@@ -287,11 +297,11 @@ def read_edges(path):
         i, j = int(parts[1]), int(parts[2])
         model_class = parts[3]
         n = int(parts[4])
-        sigma = float(parts[5])
+        (sigma,) = _floats(path, k + 1, parts[5:], "robust scale")
         mparts = lines[k + 1].split()
         if mparts[0] != "matrix" or len(mparts) != 10:
             raise ParseError(path, k + 2, "expected 'matrix <9 values>'")
-        matrix = np.array([float(v) for v in mparts[1:]]).reshape(3, 3)
+        matrix = np.array(_floats(path, k + 2, mparts[1:], "matrix")).reshape(3, 3)
         rows = []
         for r in range(n):
             a, b = lines[k + 2 + r].split()
@@ -335,14 +345,9 @@ def read_intrinsics(path):
             parts = raw.split()
             if len(parts) != 6:
                 raise ParseError(path, no, "expected '<id> fx fy skew cx cy'")
+            values = _floats(path, no, parts[1:], "intrinsics")
             try:
-                out[int(parts[0])] = geo.Intrinsics(
-                    fx=float(parts[1]),
-                    fy=float(parts[2]),
-                    skew=float(parts[3]),
-                    cx=float(parts[4]),
-                    cy=float(parts[5]),
-                )
+                out[int(parts[0])] = geo.Intrinsics(*values)
             except ValueError as exc:
                 raise ParseError(path, no, str(exc))
     return out

@@ -347,17 +347,20 @@ def normalize_points(points):
     """Translate to zero centroid and scale to mean norm sqrt(dim).
 
     Returns (T, normalized) where T is the (d+1)x(d+1) homogeneous transform
-    such that normalized = points @ T[:d, :d].T + T[:d, d].
+    such that normalized = points @ T[:d, :d].T + T[:d, d].  ``points`` is
+    (n, d) or a stack (k, n, d); T then has the leading axis too.
     """
     points = np.asarray(points, float)
-    d = points.shape[1]
-    centroid = points.mean(axis=0)
+    d = points.shape[-1]
+    centroid = points.mean(axis=-2, keepdims=True)
     centered = points - centroid
-    mean_norm = np.mean(np.linalg.norm(centered, axis=1))
-    scale = np.sqrt(d) / mean_norm if mean_norm > 1e-14 else 1.0
-    T = np.eye(d + 1)
-    T[:d, :d] *= scale
-    T[:d, d] = -scale * centroid
+    mean_norm = np.mean(np.linalg.norm(centered, axis=-1), axis=-1)
+    wide = mean_norm > 1e-14
+    scale = np.sqrt(d) / np.where(wide, mean_norm, 1.0)
+    scale = np.where(wide, scale, 1.0)[..., None, None]
+    T = np.broadcast_to(np.eye(d + 1), points.shape[:-2] + (d + 1, d + 1)).copy()
+    T[..., :d, :d] *= scale
+    T[..., :d, d] = -scale[..., 0] * centroid[..., 0, :]
     return T, centered * scale
 
 
@@ -366,56 +369,101 @@ def normalize_points(points):
 # ---------------------------------------------------------------------------
 
 
-def solve_homography(pts1, pts2) -> np.ndarray:
-    """Normalized DLT estimate of H with pts2 ~ H pts1 (>= 4 correspondences).
+def _frobenius_norms(M):
+    """Frobenius norms of a stack of matrices (k, r, c) -> (k,).
 
-    Raises DegenerateConfiguration when the design matrix has a nullspace of
-    dimension > 1, e.g. when 3 of a 4-point minimal sample are collinear.
+    Taken as a (1, rc) @ (rc, 1) product, which is the dot product
+    ``np.linalg.norm`` takes of one matrix, so a stack gives the same bits
+    as the matrices one at a time.
+    """
+    flat = M.reshape(M.shape[0], 1, M.shape[1] * M.shape[2])
+    return np.sqrt(flat @ np.swapaxes(flat, -1, -2))[:, 0, 0]
+
+
+def _rank_deficient(s, rank):
+    """Rows of stacked singular values whose ``rank``-th one is negligible."""
+    return s[:, rank - 1] < 1e-9 * s[:, 0]
+
+
+def solve_homography_stack(pts1, pts2):
+    """Normalized DLT estimates of H with pts2 ~ H pts1 for a stack of k
+    correspondence sets (k, n, 2), n >= 4.
+
+    Returns (H (k, 3, 3), ok (k,)).  ``ok`` is False where the design matrix
+    has a nullspace of dimension > 1, e.g. when 3 of a 4-point minimal sample
+    are collinear, or holds a non-finite value; H is NaN there.
     """
     pts1 = np.asarray(pts1, float)
     pts2 = np.asarray(pts2, float)
-    n = pts1.shape[0]
+    k, n = pts1.shape[:2]
     if n < 4:
         raise ValueError("homography needs >= 4 correspondences")
     T1, p1 = normalize_points(pts1)
     T2, p2 = normalize_points(pts2)
-    A = np.zeros((2 * n, 9))
-    x, y = p1[:, 0], p1[:, 1]
-    u, v = p2[:, 0], p2[:, 1]
-    A[0::2, 0] = x
-    A[0::2, 1] = y
-    A[0::2, 2] = 1.0
-    A[0::2, 6] = -u * x
-    A[0::2, 7] = -u * y
-    A[0::2, 8] = -u
-    A[1::2, 3] = x
-    A[1::2, 4] = y
-    A[1::2, 5] = 1.0
-    A[1::2, 6] = -v * x
-    A[1::2, 7] = -v * y
-    A[1::2, 8] = -v
-    _, s, vt = np.linalg.svd(A)
-    if s[7] < 1e-9 * s[0]:
+    A = np.zeros((k, 2 * n, 9))
+    x, y = p1[..., 0], p1[..., 1]
+    u, v = p2[..., 0], p2[..., 1]
+    A[:, 0::2, 0] = x
+    A[:, 0::2, 1] = y
+    A[:, 0::2, 2] = 1.0
+    A[:, 0::2, 6] = -u * x
+    A[:, 0::2, 7] = -u * y
+    A[:, 0::2, 8] = -u
+    A[:, 1::2, 3] = x
+    A[:, 1::2, 4] = y
+    A[:, 1::2, 5] = 1.0
+    A[:, 1::2, 6] = -v * x
+    A[:, 1::2, 7] = -v * y
+    A[:, 1::2, 8] = -v
+    rows = np.flatnonzero(np.isfinite(A).all(axis=(1, 2)))
+    _, s, vt = np.linalg.svd(A[rows])
+    full_rank = ~_rank_deficient(s, 8)
+    rows, Hn = rows[full_rank], vt[full_rank, -1].reshape(-1, 3, 3)
+    Hs = np.linalg.inv(T2[rows]) @ Hn @ T1[rows]
+    Hs = Hs / _frobenius_norms(Hs)[:, None, None]
+    h22 = Hs[:, 2, 2]
+    Hs = Hs * np.where(np.abs(h22) > 1e-12, np.sign(h22), 1.0)[:, None, None]
+    H = np.full((k, 3, 3), np.nan)
+    H[rows] = Hs
+    ok = np.zeros(k, bool)
+    ok[rows] = True
+    return H, ok
+
+
+def solve_homography(pts1, pts2) -> np.ndarray:
+    """``solve_homography_stack`` for one correspondence set (n, 2).
+
+    Raises DegenerateConfiguration where the stacked solver says not ok.
+    """
+    H, ok = solve_homography_stack(np.asarray(pts1, float)[None], np.asarray(pts2, float)[None])
+    if not ok[0]:
         raise DegenerateConfiguration("homography design matrix rank < 8")
-    Hn = vt[-1].reshape(3, 3)
-    H = np.linalg.inv(T2) @ Hn @ T1
-    H = H / np.linalg.norm(H)
-    if abs(H[2, 2]) > 1e-12:
-        H = H * np.sign(H[2, 2])
-    return H
+    return H[0]
+
+
+def _homogeneous(points) -> np.ndarray:
+    """(N, 2) pixels, or their (N, 3) homogeneous rows, as (N, 3) rows."""
+    points = np.asarray(points, float)
+    return points if points.shape[-1] == 3 else hom(points)
 
 
 def homography_transfer_error(H, pts1, pts2) -> np.ndarray:
-    """Symmetric transfer distance sqrt(|Hx1-x2|^2 + |H^-1 x2 - x1|^2)."""
+    """Symmetric transfer distance sqrt(|Hx1-x2|^2 + |H^-1 x2 - x1|^2).
+
+    H is (3, 3) or a stack (k, 3, 3), giving (N,) or (k, N) distances; the
+    points are (N, 2) pixels or their (N, 3) homogeneous rows.
+    """
     H = np.asarray(H, float)
+    x1 = _homogeneous(pts1)
+    x2 = _homogeneous(pts2)
     Hinv = np.linalg.inv(H)
-    f = hom(pts1) @ H.T
-    b = hom(pts2) @ Hinv.T
-    wf = np.where(np.abs(f[:, 2]) < 1e-14, 1e-14, f[:, 2])
-    wb = np.where(np.abs(b[:, 2]) < 1e-14, 1e-14, b[:, 2])
-    df = f[:, :2] / wf[:, None] - np.asarray(pts2, float)
-    db = b[:, :2] / wb[:, None] - np.asarray(pts1, float)
-    return np.sqrt(np.sum(df * df, axis=1) + np.sum(db * db, axis=1))
+    f = x1 @ np.swapaxes(H, -1, -2)
+    b = x2 @ np.swapaxes(Hinv, -1, -2)
+    wf = np.where(np.abs(f[..., 2]) < 1e-14, 1e-14, f[..., 2])
+    wb = np.where(np.abs(b[..., 2]) < 1e-14, 1e-14, b[..., 2])
+    df = f[..., :2] / wf[..., None] - x2[:, :2]
+    db = b[..., :2] / wb[..., None] - x1[:, :2]
+    return np.sqrt(np.sum(df * df, axis=-1) + np.sum(db * db, axis=-1))
 
 
 def sampson_homography(H, pts1, pts2) -> np.ndarray:
@@ -449,10 +497,10 @@ def sampson_homography(H, pts1, pts2) -> np.ndarray:
 
 
 def _fundamental_rows(p1, p2):
-    x, y = p1[:, 0], p1[:, 1]
-    u, v = p2[:, 0], p2[:, 1]
-    return np.column_stack(
-        [u * x, u * y, u, v * x, v * y, v, x, y, np.ones_like(x)]
+    x, y = p1[..., 0], p1[..., 1]
+    u, v = p2[..., 0], p2[..., 1]
+    return np.stack(
+        [u * x, u * y, u, v * x, v * y, v, x, y, np.ones_like(x)], axis=-1
     )
 
 
@@ -475,56 +523,104 @@ def solve_fundamental(pts1, pts2) -> np.ndarray:
     return F / np.linalg.norm(F)
 
 
-def solve_fundamental_minimal(pts1, pts2) -> list:
-    """7-point solver; returns the 1-3 real cubic-root solutions."""
+# det(a F1 + (1 - a) F2) is cubic in a; its coefficients are recovered from
+# the values at these four points through their Vandermonde matrix
+_CUBIC_SAMPLES = np.array([0.0, 1.0, -1.0, 2.0])
+_CUBIC_VANDER = np.vander(_CUBIC_SAMPLES, 4)  # columns a^3, a^2, a, 1
+
+
+def _cubic_roots(coeffs):
+    """``np.roots`` of a stack of cubics (m, 4) as (m, 3); NaN pads a row
+    whose polynomial has lower degree or whose roots ``np.roots`` cannot
+    take (a non-finite companion matrix).
+
+    Cubics with a non-zero leading and constant coefficient, all but never
+    others, take the companion-matrix eigenvalues ``np.roots`` takes, stacked;
+    the rest go through ``np.roots`` itself, which strips zero coefficients.
+    """
+    roots = np.full(coeffs.shape[:1] + (3,), np.nan, complex)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        top = -coeffs[:, 1:] / coeffs[:, :1]
+    stripped = (coeffs[:, 0] == 0.0) | (coeffs[:, 3] == 0.0)
+    full = ~stripped & np.isfinite(top).all(axis=1)
+    companion = np.zeros((int(full.sum()), 3, 3))
+    companion[:, 0, :] = top[full]
+    companion[:, 1, 0] = companion[:, 2, 1] = 1.0
+    roots[full] = np.linalg.eigvals(companion)
+    for i in np.flatnonzero(stripped):
+        try:
+            r = np.roots(coeffs[i])
+        except np.linalg.LinAlgError:
+            continue
+        roots[i, : len(r)] = r
+    return roots
+
+
+def solve_fundamental_minimal_stack(pts1, pts2):
+    """7-point solver for a stack of k samples (k, 7, 2).
+
+    Returns (F (m, 3, 3), owner (m,)): the 1-3 real cubic-root solutions of
+    every sample, in sample order, and the sample each came from.  A sample
+    with a rank-deficient design matrix, a vanishing determinant polynomial,
+    no real root or non-finite values has no row.
+    """
     pts1 = np.asarray(pts1, float)
     pts2 = np.asarray(pts2, float)
-    if pts1.shape[0] != 7:
+    if pts1.shape[-2] != 7:
         raise ValueError("minimal solver needs exactly 7 correspondences")
     T1, p1 = normalize_points(pts1)
     T2, p2 = normalize_points(pts2)
     A = _fundamental_rows(p1, p2)
-    _, s, vt = np.linalg.svd(A)
-    if s[6] < 1e-9 * s[0]:
-        raise DegenerateConfiguration("7-point design matrix rank < 7")
-    F1 = vt[-1].reshape(3, 3)
-    F2 = vt[-2].reshape(3, 3)
+    owner = np.flatnonzero(np.isfinite(A).all(axis=(1, 2)))
+    _, s, vt = np.linalg.svd(A[owner])
+    keep = ~_rank_deficient(s, 7)
+    owner, vt = owner[keep], vt[keep]
+    F1 = vt[:, -1].reshape(-1, 1, 3, 3)
+    F2 = vt[:, -2].reshape(-1, 1, 3, 3)
+    a = _CUBIC_SAMPLES[:, None, None]
+    dets = np.linalg.det(a * F1 + (1.0 - a) * F2)
+    V = np.broadcast_to(_CUBIC_VANDER, (len(owner), 4, 4))
+    coeffs = np.linalg.solve(V, dets[..., None])[..., 0]
+    keep = np.isfinite(coeffs).all(axis=1) & ~(np.max(np.abs(coeffs), axis=1) < 1e-14)
+    owner, coeffs, F1, F2 = owner[keep], coeffs[keep], F1[keep, 0], F2[keep, 0]
+    roots = _cubic_roots(coeffs)
+    real = np.abs(roots.imag) < 1e-8 * np.maximum(1.0, np.abs(roots))
+    row, _ = np.nonzero(real)
+    a = roots.real[real][:, None, None]
+    F = a * F1[row] + (1.0 - a) * F2[row]
+    F = np.swapaxes(T2[owner[row]], -1, -2) @ F @ T1[owner[row]]
+    nrm = _frobenius_norms(F)
+    keep = nrm > 1e-14
+    return F[keep] / nrm[keep, None, None], owner[row][keep]
 
-    # det(a F1 + (1 - a) F2) is cubic in a; recover coefficients by sampling
-    def d(a):
-        return np.linalg.det(a * F1 + (1.0 - a) * F2)
 
-    samples = np.array([0.0, 1.0, -1.0, 2.0])
-    V = np.vander(samples, 4)  # columns a^3, a^2, a, 1
-    coeffs = np.linalg.solve(V, np.array([d(a) for a in samples]))
-    lead = np.max(np.abs(coeffs))
-    if lead < 1e-14:
-        raise DegenerateConfiguration("degenerate determinant polynomial")
-    roots = np.roots(coeffs)
-    real = [r.real for r in roots if abs(r.imag) < 1e-8 * max(1.0, abs(r))]
-    if not real:
-        raise DegenerateConfiguration("no real root for the 7-point cubic")
-    out = []
-    for a in real:
-        F = a * F1 + (1.0 - a) * F2
-        F = T2.T @ F @ T1
-        nrm = np.linalg.norm(F)
-        if nrm > 1e-14:
-            out.append(F / nrm)
-    if not out:
-        raise DegenerateConfiguration("7-point solutions all vanished")
-    return out
+def solve_fundamental_minimal(pts1, pts2) -> list:
+    """``solve_fundamental_minimal_stack`` for one sample (7, 2); returns the
+    1-3 solutions as a list.
+
+    Raises DegenerateConfiguration when the sample has none.
+    """
+    F, _ = solve_fundamental_minimal_stack(
+        np.asarray(pts1, float)[None], np.asarray(pts2, float)[None]
+    )
+    if not len(F):
+        raise DegenerateConfiguration("7-point sample has no solution")
+    return list(F)
 
 
 def sampson_distance(F, pts1, pts2) -> np.ndarray:
-    """First-order geometric (Sampson) distance of correspondences to F."""
+    """First-order geometric (Sampson) distance of correspondences to F.
+
+    F is (3, 3) or a stack (k, 3, 3), giving (N,) or (k, N) distances; the
+    points are (N, 2) pixels or their (N, 3) homogeneous rows.
+    """
     F = np.asarray(F, float)
-    x1 = hom(pts1)
-    x2 = hom(pts2)
-    Fx1 = x1 @ F.T
+    x1 = _homogeneous(pts1)
+    x2 = _homogeneous(pts2)
+    Fx1 = x1 @ np.swapaxes(F, -1, -2)
     Ftx2 = x2 @ F
-    num = np.einsum("ij,ij->i", x2, Fx1)
-    den = Fx1[:, 0] ** 2 + Fx1[:, 1] ** 2 + Ftx2[:, 0] ** 2 + Ftx2[:, 1] ** 2
+    num = np.einsum("...ij,...ij->...i", x2, Fx1)
+    den = Fx1[..., 0] ** 2 + Fx1[..., 1] ** 2 + Ftx2[..., 0] ** 2 + Ftx2[..., 1] ** 2
     den = np.where(den < 1e-14, 1e-14, den)
     return np.abs(num) / np.sqrt(den)
 

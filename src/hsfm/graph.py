@@ -304,35 +304,40 @@ def _fit_pair_models(x1, x2, config: VerifyConfig, seed):
         max_iterations=config.max_iterations,
         rng_seed=seed,
     )
-    data = np.hstack([x1, x2])
+    # homogeneous rows (x1, y1, 1, x2, y2, 1), built once for every hypothesis
+    data = np.hstack([geo.hom(x1), geo.hom(x2)])
 
-    def h_solver(d, idx):
-        return geo.solve_homography(d[idx, :2], d[idx, 2:])
+    def h_minimal(d, samples):
+        H, ok = geo.solve_homography_stack(d[samples, :2], d[samples, 3:5])
+        return H[ok], np.flatnonzero(ok)
+
+    def h_full(d, idx):
+        return geo.solve_homography(d[idx, :2], d[idx, 3:5])
 
     def h_residual(d, H):
-        return geo.homography_transfer_error(H, d[:, :2], d[:, 2:])
+        return geo.homography_transfer_error(H, d[:, :3], d[:, 3:])
 
-    def f_minimal(d, idx):
-        return geo.solve_fundamental_minimal(d[idx, :2], d[idx, 2:])
+    def f_minimal(d, samples):
+        return geo.solve_fundamental_minimal_stack(d[samples, :2], d[samples, 3:5])
 
     def f_full(d, idx):
-        return geo.solve_fundamental(d[idx, :2], d[idx, 2:])
+        return geo.solve_fundamental(d[idx, :2], d[idx, 3:5])
 
     def f_residual(d, F):
-        return geo.sampson_distance(F, d[:, :2], d[:, 2:])
+        return geo.sampson_distance(F, d[:, :3], d[:, 3:])
 
     fit_h = fit_f = None
     try:
         fit_h = robust.msac(
-            data, h_solver, h_residual, msac_cfg, sample_size=4,
-            full_solver=h_solver, positions=x1,
+            data, h_minimal, h_residual, msac_cfg, sample_size=4,
+            full_solver=h_full, positions=x1, stacked=True,
         )
     except (robust.RobustError, geo.GeometryError):
         pass
     try:
         fit_f = robust.msac(
             data, f_minimal, f_residual, msac_cfg, sample_size=7,
-            full_solver=f_full, positions=x1,
+            full_solver=f_full, positions=x1, stacked=True,
         )
     except (robust.RobustError, geo.GeometryError):
         pass

@@ -50,6 +50,7 @@ class RobustFitResult:
     sigma_star: float
     best_sample: np.ndarray
     iterations: int = 0
+    degenerate: int = 0  # walked samples whose minimal solve gave no model
     score_history: list = field(default_factory=list)
 
 
@@ -149,7 +150,8 @@ def _draw_sample(rng, n, sample_size, buckets):
     """Spatially separated sample: distinct buckets first, one point each."""
     if buckets is not None and len(buckets) >= sample_size:
         chosen = rng.choice(len(buckets), size=sample_size, replace=False)
-        return np.array([rng.choice(buckets[b]) for b in chosen])
+        # indexing by rng.integers draws what rng.choice(bucket) draws, faster
+        return np.array([buckets[b][rng.integers(len(buckets[b]))] for b in chosen])
     return rng.choice(n, size=sample_size, replace=False)
 
 
@@ -161,6 +163,30 @@ def _required_iterations(inlier_ratio, sample_size, confidence):
     return int(np.ceil(np.log(1.0 - confidence) / np.log(1.0 - p_good)))
 
 
+# most samples a stacked solver solves and scores at once; past 64 the
+# (chunk, N) residual temporaries raise match's peak RSS for no speed
+MAX_CHUNK = 64
+
+
+def _solve_one_by_one(data, samples, minimal_solver, residual_fn, n):
+    """The stacked contract over a per-sample solver: (models, owner,
+    residuals (k', N)); a sample whose solve raises a geometry or
+    linear-algebra error or returns None has no model."""
+    models, owner, errors = [], [], []
+    for j, sample in enumerate(samples):
+        try:
+            out = minimal_solver(data, sample)
+        except (geo.GeometryError, np.linalg.LinAlgError):
+            continue
+        if out is None:
+            continue
+        for model in out if isinstance(out, (list, tuple)) else [out]:
+            models.append(model)
+            owner.append(j)
+            errors.append(np.asarray(residual_fn(data, model), float))
+    return models, np.array(owner, int), np.array(errors).reshape(len(errors), n)
+
+
 def msac(
     data,
     minimal_solver,
@@ -169,6 +195,7 @@ def msac(
     sample_size: int,
     full_solver=None,
     positions=None,
+    stacked=False,
 ) -> RobustFitResult:
     """M-estimator sample consensus with bucketed sampling.
 
@@ -177,16 +204,32 @@ def msac(
     confidence.  After the loop, the inlier set is refined with the robust
     scale rule and the model re-estimated by least squares on it.
 
+    With ``stacked``, samples are drawn, solved and scored in chunks and then
+    walked in draw order, so the result and the iteration count are those of
+    drawing one sample at a time.  A chunk holds at most as many samples as
+    have been walked, ``MAX_CHUNK`` and the remaining budget; samples drawn
+    past the adaptive stop are discarded, which changes nothing because the
+    rng is local to the call.
+
     Parameters
     ----------
     data : opaque dataset handed to the solvers.
-    minimal_solver : callable(data, indices) -> model or list of models;
-        may raise or return None on a degenerate sample.
-    residual_fn : callable(data, model) -> (N,) residuals in pixels.
-    full_solver : callable(data, indices) -> model; least-squares refit on
-        the refined inliers (defaults to the minimal solver).
+    minimal_solver, residual_fn : with ``stacked`` False (one sample per
+        chunk), ``minimal_solver(data, indices (s,))`` returns a model, a
+        list of models or None and may raise GeometryError or LinAlgError
+        on a degenerate sample; ``residual_fn(data, model)`` returns (N,)
+        residuals in pixels.  With ``stacked`` True,
+        ``minimal_solver(data, samples (k, s))`` returns ``(models (k', ...),
+        owner (k',))`` in sample order, ``owner[i]`` the sample ``models[i]``
+        was solved from (a degenerate sample has no row), and
+        ``residual_fn(data, models)`` returns (k', N).
+    full_solver : callable(data, indices) -> model, one sample at a time in
+        either mode; least-squares refit on the refined inliers (defaults to
+        the minimal solver; required with ``stacked``).
     positions : (N, 2) keypoint positions used for bucketing, optional.
     """
+    if stacked and full_solver is None:
+        raise ValueError("a stacked fit needs a per-sample full_solver")
     n = len(data) if not hasattr(data, "shape") else data.shape[0]
     if n < sample_size:
         raise InsufficientData(f"{n} data for sample size {sample_size}")
@@ -194,42 +237,57 @@ def msac(
     buckets = (
         _bucket_indices(positions, config.bucket_size) if positions is not None else None
     )
+    if stacked:
+        def hypotheses(samples):
+            models, owner = minimal_solver(data, samples)
+            return models, owner, np.asarray(residual_fn(data, models), float)
+
+        def residuals(model):
+            return np.asarray(residual_fn(data, model[None]), float)[0]
+    else:
+        def hypotheses(samples):
+            return _solve_one_by_one(data, samples, minimal_solver, residual_fn, n)
+
+        def residuals(model):
+            return np.asarray(residual_fn(data, model), float)
     T = config.inlier_threshold
     best_score = np.inf
     best_model = None
     best_sample = None
-    best_inliers = 0
     history = []
     required = config.max_iterations
-    it = 0
+    it = degenerate = 0
     while it < min(required, config.max_iterations):
-        it += 1
-        sample = _draw_sample(rng, n, sample_size, buckets)
-        try:
-            models = minimal_solver(data, sample)
-        except (geo.GeometryError, np.linalg.LinAlgError):
-            continue
-        if models is None:
-            continue
-        if not isinstance(models, (list, tuple)):
-            models = [models]
-        for model in models:
-            e = np.asarray(residual_fn(data, model), float)
-            score = float(np.sum(np.minimum(e**2, T**2)))
-            if score < best_score:
-                best_score = score
-                best_model = model
-                best_sample = sample
-                best_inliers = int(np.sum(np.abs(e) < T))
-                history.append(score)
-                required = _required_iterations(
-                    max(best_inliers, sample_size) / n, sample_size, config.confidence
-                )
+        budget = min(required, config.max_iterations) - it
+        size = min(max(it, 1), MAX_CHUNK, budget) if stacked else 1
+        samples = np.array(
+            [_draw_sample(rng, n, sample_size, buckets) for _ in range(size)]
+        )
+        models, owner, errors = hypotheses(samples)
+        scores = np.sum(np.minimum(errors**2, T**2), axis=1)
+        inliers = np.sum(np.abs(errors) < T, axis=1)
+        bounds = np.searchsorted(owner, np.arange(size + 1))
+        for j in range(size):
+            it += 1
+            degenerate += bounds[j] == bounds[j + 1]
+            for m in range(bounds[j], bounds[j + 1]):
+                if scores[m] < best_score:
+                    best_score = float(scores[m])
+                    best_model = models[m]
+                    best_sample = samples[j]
+                    history.append(best_score)
+                    required = _required_iterations(
+                        max(int(inliers[m]), sample_size) / n,
+                        sample_size,
+                        config.confidence,
+                    )
+            if it >= min(required, config.max_iterations):
+                break
     if best_model is None:
         raise NoConsensus("no hypothesis could be evaluated")
 
     # refined inliers via the robust scale of the best hypothesis
-    e = np.asarray(residual_fn(data, best_model), float)
+    e = residuals(best_model)
     if best_sample.size < n:
         sigma_star = robust_scale(e, best_sample)
     else:
@@ -247,7 +305,7 @@ def msac(
         if isinstance(candidate, (list, tuple)):
             candidate = candidate[0]
         if candidate is not None:
-            e_new = np.asarray(residual_fn(data, candidate), float)
+            e_new = residuals(candidate)
             model = candidate
             mask = np.abs(e_new) < gate
             e = e_new
@@ -263,5 +321,6 @@ def msac(
         sigma_star=float(sigma_star),
         best_sample=np.sort(best_sample),
         iterations=it,
+        degenerate=int(degenerate),
         score_history=history,
     )

@@ -316,6 +316,137 @@ def test_homography_collinear_minimal_degenerate():
 
 
 # ---------------------------------------------------------------------------
+# stacked two-view kernels against the per-sample algorithms
+# ---------------------------------------------------------------------------
+
+
+def reference_normalize(points):
+    d = points.shape[1]
+    centroid = points.mean(axis=0)
+    centered = points - centroid
+    mean_norm = np.mean(np.linalg.norm(centered, axis=1))
+    scale = np.sqrt(d) / mean_norm if mean_norm > 1e-14 else 1.0
+    T = np.eye(d + 1)
+    T[:d, :d] *= scale
+    T[:d, d] = -scale * centroid
+    return T, centered * scale
+
+
+def reference_homography(pts1, pts2):
+    """One 4-point DLT at a time; None on a rank-deficient design matrix."""
+    T1, p1 = reference_normalize(pts1)
+    T2, p2 = reference_normalize(pts2)
+    A = np.zeros((2 * len(p1), 9))
+    x, y, u, v = p1[:, 0], p1[:, 1], p2[:, 0], p2[:, 1]
+    A[0::2, 0], A[0::2, 1], A[0::2, 2] = x, y, 1.0
+    A[0::2, 6], A[0::2, 7], A[0::2, 8] = -u * x, -u * y, -u
+    A[1::2, 3], A[1::2, 4], A[1::2, 5] = x, y, 1.0
+    A[1::2, 6], A[1::2, 7], A[1::2, 8] = -v * x, -v * y, -v
+    _, s, vt = np.linalg.svd(A)
+    if s[7] < 1e-9 * s[0]:
+        return None
+    H = np.linalg.inv(T2) @ vt[-1].reshape(3, 3) @ T1
+    H = H / np.linalg.norm(H)
+    if abs(H[2, 2]) > 1e-12:
+        H = H * np.sign(H[2, 2])
+    return H
+
+
+def reference_fundamental_7pt(pts1, pts2):
+    """One 7-point sample at a time with ``np.roots``; [] when degenerate."""
+    T1, p1 = reference_normalize(pts1)
+    T2, p2 = reference_normalize(pts2)
+    x, y, u, v = p1[:, 0], p1[:, 1], p2[:, 0], p2[:, 1]
+    A = np.column_stack([u * x, u * y, u, v * x, v * y, v, x, y, np.ones_like(x)])
+    _, s, vt = np.linalg.svd(A)
+    if s[6] < 1e-9 * s[0]:
+        return []
+    F1, F2 = vt[-1].reshape(3, 3), vt[-2].reshape(3, 3)
+    a_s = np.array([0.0, 1.0, -1.0, 2.0])
+    dets = np.array([np.linalg.det(a * F1 + (1.0 - a) * F2) for a in a_s])
+    coeffs = np.linalg.solve(np.vander(a_s, 4), dets)
+    if np.max(np.abs(coeffs)) < 1e-14:
+        return []
+    out = []
+    for r in np.roots(coeffs):
+        if abs(r.imag) < 1e-8 * max(1.0, abs(r)):
+            F = T2.T @ (r.real * F1 + (1.0 - r.real) * F2) @ T1
+            if np.linalg.norm(F) > 1e-14:
+                out.append(F / np.linalg.norm(F))
+    return out
+
+
+def reference_transfer_error(H, x1, x2):
+    f = geo.hom(x1) @ H.T
+    b = geo.hom(x2) @ np.linalg.inv(H).T
+    wf = np.where(np.abs(f[:, 2]) < 1e-14, 1e-14, f[:, 2])
+    wb = np.where(np.abs(b[:, 2]) < 1e-14, 1e-14, b[:, 2])
+    df = f[:, :2] / wf[:, None] - x2
+    db = b[:, :2] / wb[:, None] - x1
+    return np.sqrt(np.sum(df * df, axis=1) + np.sum(db * db, axis=1))
+
+
+def reference_sampson(F, x1, x2):
+    h1, h2 = geo.hom(x1), geo.hom(x2)
+    Fx1, Ftx2 = h1 @ F.T, h2 @ F
+    num = np.einsum("ij,ij->i", h2, Fx1)
+    den = Fx1[:, 0] ** 2 + Fx1[:, 1] ** 2 + Ftx2[:, 0] ** 2 + Ftx2[:, 1] ** 2
+    return np.abs(num) / np.sqrt(np.where(den < 1e-14, 1e-14, den))
+
+
+def random_samples(rng, x1, x2, k, size):
+    idx = np.array([rng.choice(len(x1), size, replace=False) for _ in range(k)])
+    return x1[idx], x2[idx]
+
+
+def test_homography_stack_matches_per_sample_reference():
+    rng = np.random.default_rng(21)
+    _, _, x1, x2 = exact_pair(rng, n=60)
+    x2 = x2 + rng.normal(0, 2.0, x2.shape)
+    s1, s2 = random_samples(rng, x1, x2, 64, 4)
+    # row 5: three collinear points
+    s1[5] = [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [5.0, 1.0]]
+    s2[5] = s1[5] + 1.0
+    H, ok = geo.solve_homography_stack(s1, s2)
+    assert not ok[5] and ok.sum() == 63
+    for i in range(64):
+        ref = reference_homography(s1[i], s2[i])
+        assert (ref is not None) == ok[i]
+        if ok[i]:
+            assert np.array_equal(H[i], ref)
+    # the per-sample name is the stack of one
+    assert np.array_equal(geo.solve_homography(s1[0], s2[0]), H[0])
+    errors = geo.homography_transfer_error(H[ok], x1, x2)
+    assert errors.shape == (63, 60)
+    for row, h in zip(errors, H[ok]):
+        assert np.array_equal(row, reference_transfer_error(h, x1, x2))
+    # homogeneous rows give the same distances as pixels
+    assert np.array_equal(
+        geo.homography_transfer_error(H[ok], geo.hom(x1), geo.hom(x2)), errors
+    )
+
+
+def test_fundamental_minimal_stack_matches_per_sample_reference():
+    rng = np.random.default_rng(22)
+    _, _, x1, x2 = exact_pair(rng, n=60)
+    x2 = x2 + rng.normal(0, 2.0, x2.shape)
+    s1, s2 = random_samples(rng, x1, x2, 64, 7)
+    # row 9: only four distinct correspondences, design matrix rank 4
+    s1[9, 4:], s2[9, 4:] = s1[9, :3], s2[9, :3]
+    F, owner = geo.solve_fundamental_minimal_stack(s1, s2)
+    expected = [(i, f) for i in range(64) for f in reference_fundamental_7pt(s1[i], s2[i])]
+    assert 9 not in owner
+    assert owner.tolist() == [i for i, _ in expected]
+    assert np.array_equal(F, np.array([f for _, f in expected]))
+    errors = geo.sampson_distance(F, x1, x2)
+    assert errors.shape == (len(F), 60)
+    for row, f in zip(errors, F):
+        assert np.array_equal(row, reference_sampson(f, x1, x2))
+    with pytest.raises(geo.DegenerateConfiguration):
+        geo.solve_fundamental_minimal(s1[9], s2[9])
+
+
+# ---------------------------------------------------------------------------
 # relative orientation
 # ---------------------------------------------------------------------------
 
@@ -626,3 +757,19 @@ def test_cheirality_tie_no_flip():
     out, info = geo.cheirality_enforce(model)
     assert not info.flipped
     assert info.tied
+
+
+def test_cubic_roots_match_np_roots():
+    coeffs = np.array([
+        [1.0, -6.0, 11.0, -6.0],   # three real roots
+        [1.0, 2.0, 3.0, 4.0],      # one real, two complex
+        [0.0, 1.0, 2.0, 3.0],      # vanishing leading coefficient
+        [1.0, 2.0, 3.0, 0.0],      # root at zero
+        [5e-324, 1.0, 1.0, 1.0],   # companion matrix overflows
+    ])
+    roots = geo._cubic_roots(coeffs)
+    for row, got in zip(coeffs[:4], roots):
+        want = np.roots(row)
+        assert np.array_equal(got[: len(want)], want)
+        assert np.isnan(got[len(want):]).all()
+    assert np.isnan(roots[4]).all()

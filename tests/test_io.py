@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hsfm import cli, engine, fileio, geometry as geo, synthetic
+from hsfm.graph import EpipolarEdge
 from hsfm.tracks import TrackSet
 
 
@@ -81,6 +82,44 @@ def test_intrinsics_round_trip(tmp_path):
     fileio.write_intrinsics(path, intr)
     out = fileio.read_intrinsics(path)
     assert out == intr
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_keypoints_reject_non_finite(tmp_path, bad):
+    path = tmp_path / "keypoints_0000.txt"
+    fileio.write_keypoints(path, 0, (1600, 1200), np.ones((3, 4)), np.ones((3, 2)))
+    lines = path.read_text().splitlines()
+    lines[3] = f"1.0 {bad} 1.0 1.0 1.0 1.0"  # the second keypoint row
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(fileio.ParseError, match="non-finite") as err:
+        fileio.read_keypoints(path)
+    assert err.value.line_no == 4
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_intrinsics_reject_non_finite(tmp_path, bad):
+    path = tmp_path / "intrinsics.txt"
+    path.write_text(f"0 1200.0 1200.0 0.0 800.0 600.0\n1 1200.0 1200.0 0.0 {bad} 600.0\n")
+    with pytest.raises(fileio.ParseError, match="non-finite") as err:
+        fileio.read_intrinsics(path)
+    assert err.value.line_no == 2
+
+
+@pytest.mark.parametrize("line_no", [1, 2])
+def test_edges_reject_non_finite(tmp_path, line_no):
+    edge = EpipolarEdge(
+        pair=(0, 1), matches=np.array([[0, 0], [1, 1]]), model_class="homography",
+        matrix=np.eye(3), inlier_count=2, sigma_star=0.5,
+    )
+    path = tmp_path / "verified_matches.txt"
+    fileio.write_edges(path, [edge])
+    lines = path.read_text().splitlines()
+    # the robust scale on the pair header, or one matrix entry
+    lines[line_no - 1] = lines[line_no - 1].rsplit(" ", 1)[0] + " nan"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(fileio.ParseError, match="non-finite") as err:
+        fileio.read_edges(path)
+    assert err.value.line_no == line_no
 
 
 # ---------------------------------------------------------------------------

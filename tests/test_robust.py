@@ -289,3 +289,155 @@ def test_bucketed_sample_spatial_separation(seed, n):
     sample = robust._draw_sample(rng, n, sample_size, buckets)
     cells = np.floor((positions[sample] - positions.min(axis=0)) / bucket)
     assert len({tuple(c) for c in cells}) == sample_size
+
+
+def draw_sample_with_choice(rng, n, sample_size, buckets):
+    """The bucketed draw written with ``rng.choice`` for the in-bucket pick."""
+    if buckets is not None and len(buckets) >= sample_size:
+        chosen = rng.choice(len(buckets), size=sample_size, replace=False)
+        return np.array([rng.choice(buckets[b]) for b in chosen])
+    return rng.choice(n, size=sample_size, replace=False)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_draw_sample_same_stream_as_rng_choice(seed):
+    positions = np.random.default_rng(seed).uniform(0, 400, (120, 2))
+    buckets = robust._bucket_indices(positions, 60.0)
+    assert len(buckets) >= 7
+    ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    for k in range(500):
+        size = 4 if k % 2 else 7
+        got = robust._draw_sample(ours, 120, size, buckets)
+        assert np.array_equal(got, draw_sample_with_choice(ref, 120, size, buckets))
+    assert ours.integers(1 << 30) == ref.integers(1 << 30)
+
+
+def test_msac_counts_degenerate_samples():
+    rng = np.random.default_rng(7)
+    data, _ = line_data(rng, outlier_rate=0.3)
+    seen = []
+
+    def solver(d, idx):
+        seen.append(idx.copy())
+        if idx.min() < 25:  # the known degenerate samples
+            raise geo.DegenerateConfiguration("flagged sample")
+        return line_solver(d, idx)
+
+    res = robust.msac(data, solver, line_residual, line_config(seed=4), 2,
+                      full_solver=line_solver, positions=data)
+    flagged = sum(int(s.min() < 25) for s in seen)
+    assert 0 < flagged < len(seen)
+    assert res.degenerate == flagged
+    assert res.iterations == len(seen)
+
+    # the same samples reported by a stacked solver as rows it leaves out
+    def stacked_solver(d, samples):
+        keep = np.flatnonzero(samples.min(axis=1) >= 25)
+        return np.array([line_solver(d, s) for s in samples[keep]]).reshape(-1, 2), keep
+
+    def stacked_residual(d, coefs):
+        return np.array([line_residual(d, c) for c in coefs]).reshape(len(coefs), -1)
+
+    stacked = robust.msac(
+        data, stacked_solver, stacked_residual, line_config(seed=4), 2,
+        full_solver=line_solver, positions=data, stacked=True,
+    )
+    assert (stacked.iterations, stacked.degenerate) == (res.iterations, res.degenerate)
+    assert stacked.score_history == res.score_history
+
+
+def two_view_with_outliers(planar, seed, outlier_rate=0.3):
+    x1, x2 = synthetic_two_view(planar=planar, seed=seed, sigma=0.5, n=200)
+    rng = np.random.default_rng(seed + 100)
+    bad = rng.random(len(x1)) < outlier_rate
+    x2[bad] = rng.uniform(0, [1600, 1200], (int(bad.sum()), 2))
+    return x1, x2
+
+
+# the narrow phase's H and F solvers on (x1, y1, x2, y2) rows ``d``
+def h_stacked(d, samples):
+    H, ok = geo.solve_homography_stack(d[samples, :2], d[samples, 2:])
+    return H[ok], np.flatnonzero(ok)
+
+
+def f_stacked(d, samples):
+    return geo.solve_fundamental_minimal_stack(d[samples, :2], d[samples, 2:])
+
+
+def h_one(d, idx):
+    return geo.solve_homography(d[idx, :2], d[idx, 2:])
+
+
+def f_one(d, idx):
+    return geo.solve_fundamental_minimal(d[idx, :2], d[idx, 2:])
+
+
+def f_full(d, idx):
+    return geo.solve_fundamental(d[idx, :2], d[idx, 2:])
+
+
+def h_residual(d, H):
+    return geo.homography_transfer_error(H, d[:, :2], d[:, 2:])
+
+
+def f_residual(d, F):
+    return geo.sampson_distance(F, d[:, :2], d[:, 2:])
+
+
+# sample size -> (per-sample solver, stacked solver, residual, refit)
+TWO_VIEW_SOLVERS = {
+    4: (h_one, h_stacked, h_residual, h_one),
+    7: (f_one, f_stacked, f_residual, f_full),
+}
+
+
+@pytest.mark.parametrize(
+    "planar, sample_size, seed, stop",
+    [
+        (False, 4, 31, "cap"),        # general scene: H runs to max_iterations
+        (True, 4, 32, "mid-chunk"),   # adaptive stop inside a drawn chunk
+        (False, 7, 32, "mid-chunk"),
+        (True, 7, 34, "chunk end"),   # the chunk was cut to the known budget
+    ],
+)
+def test_stacked_msac_same_walk_as_per_sample(planar, sample_size, seed, stop):
+    x1, x2 = two_view_with_outliers(planar, seed)
+    data = np.hstack([x1, x2])
+    per_sample, stacked_solver, residual, full = TWO_VIEW_SOLVERS[sample_size]
+    drawn = []
+
+    def counting_solver(d, samples):
+        drawn.append(len(samples))
+        return stacked_solver(d, samples)
+
+    cfg = robust.MsacConfig(inlier_threshold=2.0, bucket_size=80.0, rng_seed=seed)
+    one = robust.msac(data, per_sample, residual, cfg, sample_size,
+                      full_solver=full, positions=x1)
+    many = robust.msac(data, counting_solver, residual, cfg, sample_size,
+                       full_solver=full, positions=x1, stacked=True)
+    assert drawn[:4] == [1, 1, 2, 4][: len(drawn)] and max(drawn) <= robust.MAX_CHUNK
+    if stop == "cap":
+        assert one.iterations == cfg.max_iterations == sum(drawn)
+    elif stop == "mid-chunk":
+        assert sum(drawn) > one.iterations
+    else:
+        assert sum(drawn) == one.iterations < cfg.max_iterations
+    assert many.iterations == one.iterations
+    assert many.degenerate == one.degenerate
+    assert many.score_history == one.score_history
+    assert np.array_equal(many.best_sample, one.best_sample)
+    assert np.array_equal(many.model_params, one.model_params)
+    assert np.array_equal(many.inlier_mask, one.inlier_mask)
+    assert many.score == one.score and many.sigma_star == one.sigma_star
+
+
+def test_stacked_msac_propagates_programming_errors():
+    rng = np.random.default_rng(2)
+    data, _ = line_data(rng, outlier_rate=0.0)
+
+    def broken_solver(data, samples):
+        raise TypeError("solver bug")
+
+    with pytest.raises(TypeError):
+        robust.msac(data, broken_solver, line_residual, line_config(), 2,
+                    full_solver=line_solver, stacked=True)
