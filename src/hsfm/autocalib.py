@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from . import geometry as geo
 
@@ -255,6 +254,8 @@ def refine(f1, f2, canon, weights: CostWeights, config: AutocalConfig):
     every evaluation.  Fails when the refined focals leave the legal
     normalized range.
     """
+
+    from scipy.optimize import least_squares  # not loaded by `hsfm match`
 
     m = 4 * (len(canon) - 1)
 

@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.transform import Rotation
 
 from . import geometry as geo
 
@@ -37,6 +36,13 @@ PARAM_EUCLIDEAN_FREE_K = "euclidean_free_k"
 PARAM_PROJECTIVE = "projective"
 
 _ZERO_COST = 1e-20
+
+
+def _rotation(rotvec) -> np.ndarray:
+    """Rotation matrix of a rotation vector (the pose update)."""
+    from scipy.spatial.transform import Rotation  # not loaded by `hsfm match`
+
+    return Rotation.from_rotvec(rotvec).as_matrix()
 
 
 class SingularNormalEquations(Exception):
@@ -122,7 +128,7 @@ class _CamBlock:
         if delta is not None and self.width:
             pos = 0
             if self.pose_free:
-                R = R @ Rotation.from_rotvec(delta[0:3]).as_matrix()
+                R = R @ _rotation(delta[0:3])
                 C = C + delta[3:6]
                 pos = 6
             if self.k_free:
@@ -231,7 +237,7 @@ class _CamBlock:
             return
         pos = 0
         if self.pose_free:
-            self.R = self.R @ Rotation.from_rotvec(delta[0:3]).as_matrix()
+            self.R = self.R @ _rotation(delta[0:3])
             self.C = self.C + delta[3:6]
             pos = 6
         if self.k_free:

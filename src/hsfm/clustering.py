@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 
 class NoMergeAvailable(Exception):
@@ -20,6 +19,8 @@ class NoMergeAvailable(Exception):
 def convex_hull_area(points) -> float:
     """Area of the 2D convex hull; degenerate hulls (< 3 points, collinear)
     have area zero."""
+    from scipy.spatial import ConvexHull, QhullError  # not loaded by `hsfm match`
+
     points = np.asarray(points, float)
     if points.shape[0] < 3:
         return 0.0

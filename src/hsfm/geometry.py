@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import least_squares
-from scipy.spatial.transform import Rotation
 
 
 class GeometryError(Exception):
@@ -891,6 +889,9 @@ def resect_calibrated(points3d, points2d, intrinsics: Intrinsics, refine: bool =
     R, t = _ppnp(rays, points3d)
 
     if refine:
+        from scipy.optimize import least_squares  # not loaded by `hsfm match`
+        from scipy.spatial.transform import Rotation
+
         rot0 = Rotation.from_matrix(R)
 
         def residual(params):

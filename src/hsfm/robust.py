@@ -155,6 +155,133 @@ def _draw_sample(rng, n, sample_size, buckets):
     return rng.choice(n, size=sample_size, replace=False)
 
 
+class _SampleStream:
+    """The samples of successive ``_draw_sample`` calls on
+    ``default_rng(seed)``, drawn a chunk at a time.
+
+    ``Generator.choice(pop, s, replace=False)`` is Floyd's method for every
+    population these fits see (its tail-shuffle branch needs ``s > pop // 50``
+    with ``pop > 10000``): a bounded draw on ``[0, j]`` for ``j = pop - s ...
+    pop - 1``, taking ``j`` when the value was already chosen, then a shuffle
+    with draws on ``[0, i]`` for ``i = s - 1 ... 1``.  A bucket pick is one
+    draw on ``[0, len - 1]``.  A bounded draw on ``[0, r]`` reads no word
+    when ``r == 0`` and is otherwise Lemire's method on PCG64's 32-bit words
+    (low half, then high half, of each 64-bit output): value ``w (r+1) >>
+    32``, the word rejected when ``w (r+1) mod 2^32 < (2^32 - (r+1)) mod
+    (r+1)``.  A chunk evaluates the draw at every word offset of a block and
+    walks the chain of offsets; a sample that may meet a rejection (about
+    ``(r+1) / 2^32`` per word) is drawn one word at a time instead.
+    """
+
+    def __init__(self, seed, n, sample_size, buckets):
+        self._bitgen = np.random.PCG64(seed)
+        self._words = np.empty(0, np.uint64)
+        self._pos = 0
+        self.size = sample_size
+        self.bucketed = buckets is not None and len(buckets) >= sample_size
+        self.pop = len(buckets) if self.bucketed else n
+        if self.pop > 10000 and sample_size > self.pop // 50:
+            raise ValueError("choice draws this sample by a permutation, not Floyd's method")
+        if self.bucketed:
+            lens = [len(b) for b in buckets]
+            self._lens = np.array(lens, np.uint64)
+            self._starts = np.cumsum([0, *lens[:-1]])
+            self._members = np.concatenate(buckets).astype(int)
+        # the ranges of choice's draws; the first Floyd range is 0 when pop == s
+        ranges = [*range(self.pop - sample_size, self.pop), *range(sample_size - 1, 0, -1)]
+        self._ranges = np.array([r for r in ranges if r > 0], np.uint64)
+        self.rejected = 0  # words Lemire's method rejected
+
+    def _word(self, i):
+        if i >= len(self._words):
+            raw = self._bitgen.random_raw(max(i + 1 - len(self._words), 64) // 2 + 1)
+            halves = np.stack([raw & 0xFFFFFFFF, raw >> 32], axis=1).ravel()
+            self._words = np.concatenate([self._words, halves])
+        return self._words[i]
+
+    def _bounded(self, pos, r):
+        """(value on [0, r], next word position), rejection included."""
+        if r == 0:
+            return 0, pos
+        while True:
+            m = int(self._word(pos)) * (r + 1)
+            pos += 1
+            if m & 0xFFFFFFFF >= (2**32 - (r + 1)) % (r + 1):
+                return m >> 32, pos
+            self.rejected += 1
+
+    def _draw_exact(self, pos):
+        """(sample, next word position) at word position ``pos``, one word at
+        a time."""
+        s, pop = self.size, self.pop
+        chosen = []
+        for j in range(pop - s, pop):
+            v, pos = self._bounded(pos, j)
+            chosen.append(j if v in chosen else v)
+        for i in range(s - 1, 0, -1):
+            j, pos = self._bounded(pos, i)
+            chosen[i], chosen[j] = chosen[j], chosen[i]
+        if not self.bucketed:
+            return chosen, pos
+        sample = []
+        for b in chosen:
+            pick, pos = self._bounded(pos, int(self._lens[b]) - 1)
+            sample.append(self._members[self._starts[b] + pick])
+        return sample, pos
+
+    def draw(self, k):
+        """The next ``k`` samples, (k, sample_size)."""
+        s, pop, ranges = self.size, self.pop, self._ranges
+        f = len(ranges)
+        per = f + s  # most words a sample reads without a rejection
+        offsets = max(k - 1, 0) * per + 1  # where the k samples can start
+        self._words = self._words[self._pos:]
+        self._pos = 0
+        self._word(offsets + per)
+        w = self._words
+        # choice's draws at every offset o: row t reads word o + t
+        m = np.lib.stride_tricks.sliding_window_view(w, offsets)[:f] * (ranges[:, None] + 1)
+        values = (m >> 32).astype(np.intp)
+        nf = s - (pop == s)  # Floyd draws that read a word
+        floyd = np.vstack([np.zeros((s - nf, offsets), np.intp), values[:nf]])
+        chosen = np.empty((s, offsets), np.intp)
+        for t in range(s):
+            v = floyd[t]
+            chosen[t] = np.where((chosen[:t] == v).any(axis=0), pop - s + t, v)
+        cols = np.arange(offsets)
+        for i, j in zip(range(s - 1, 0, -1), values[nf:]):
+            swapped = chosen[j, cols]
+            chosen[j, cols] = chosen[i]
+            chosen[i] = swapped
+        count = np.full(offsets, f)
+        if self.bucketed:
+            count += (self._lens[chosen] > 1).sum(axis=0)
+        count = count.tolist()
+        chain = [0] * k
+        for i in range(1, k):
+            chain[i] = chain[i - 1] + count[chain[i - 1]]
+        end = chain[-1] + count[chain[-1]] if k else 0
+        # the words of the chain's samples, and whether one may be rejected
+        rows = chosen[:, chain].T
+        rejected = ((m[:, chain] & 0xFFFFFFFF) < ranges[:, None] + 1).any(axis=0)
+        samples = rows
+        if self.bucketed:
+            lens = self._lens[rows]
+            multi = lens > 1
+            at = np.where(multi, f + np.cumsum(multi, axis=1) - 1, 0)
+            mb = w[np.array(chain, np.intp)[:, None] + at] * lens
+            rejected |= (multi & ((mb & 0xFFFFFFFF) < lens)).any(axis=1)
+            picks = np.where(multi, mb >> 32, 0).astype(np.intp)
+            samples = self._members[self._starts[rows] + picks]
+        hit = np.flatnonzero(rejected)
+        if hit.size == 0:
+            self._pos = end
+            return samples
+        i = hit[0]
+        sample, self._pos = self._draw_exact(chain[i])
+        return np.vstack([samples[:i], [sample], self.draw(k - i - 1)])
+
+
 def _required_iterations(inlier_ratio, sample_size, confidence):
     w = min(max(inlier_ratio, 1e-9), 1.0 - 1e-12)
     p_good = w**sample_size
@@ -209,7 +336,8 @@ def msac(
     drawing one sample at a time.  A chunk holds at most as many samples as
     have been walked, ``MAX_CHUNK`` and the remaining budget; samples drawn
     past the adaptive stop are discarded, which changes nothing because the
-    rng is local to the call.
+    rng is local to the call.  Either way the samples are those of
+    ``_draw_sample`` called in a loop on ``default_rng(config.rng_seed)``.
 
     Parameters
     ----------
@@ -233,10 +361,10 @@ def msac(
     n = len(data) if not hasattr(data, "shape") else data.shape[0]
     if n < sample_size:
         raise InsufficientData(f"{n} data for sample size {sample_size}")
-    rng = np.random.default_rng(config.rng_seed)
     buckets = (
         _bucket_indices(positions, config.bucket_size) if positions is not None else None
     )
+    stream = _SampleStream(config.rng_seed, n, sample_size, buckets)
     if stacked:
         def hypotheses(samples):
             models, owner = minimal_solver(data, samples)
@@ -260,9 +388,7 @@ def msac(
     while it < min(required, config.max_iterations):
         budget = min(required, config.max_iterations) - it
         size = min(max(it, 1), MAX_CHUNK, budget) if stacked else 1
-        samples = np.array(
-            [_draw_sample(rng, n, sample_size, buckets) for _ in range(size)]
-        )
+        samples = stream.draw(size)
         models, owner, errors = hypotheses(samples)
         scores = np.sum(np.minimum(errors**2, T**2), axis=1)
         inliers = np.sum(np.abs(errors) < T, axis=1)

@@ -1,8 +1,11 @@
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import hsfm
 from hsfm import cli, engine, fileio, geometry as geo, synthetic
 from hsfm.graph import EpipolarEdge
 from hsfm.tracks import TrackSet
@@ -245,6 +248,26 @@ def test_cli_synth_sam_eval_round_trip(tmp_path, capsys):
     ) == 0
     out = capsys.readouterr().out
     assert "RMS" in out
+
+
+def test_cli_match_loads_no_scipy(tmp_path):
+    # scipy serves only sam's polish, focal refinement, pose update and hull
+    # area; a match process must not pay for importing it
+    scene_dir = str(tmp_path / "scene")
+    fileio.write_scene(synthetic.generate("ring", 4, 80, seed=6, noise_sigma=0.3), scene_dir)
+    script = (
+        "import sys\n"
+        "from hsfm import cli\n"
+        f"assert cli.main(['match', '--input', {scene_dir!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = os.path.dirname(os.path.dirname(hsfm.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert os.path.isfile(os.path.join(scene_dir, "verified_matches.txt"))
+    assert run.stdout.splitlines()[-1] == "[]"
 
 
 def test_cli_cluster_report(tmp_path, capsys):

@@ -237,21 +237,12 @@ def test_msac_fundamental_geometry_with_forty_percent_outliers():
         x2[bad] = rng.uniform(0, [1600, 1200], (int(bad.sum()), 2))
         data = np.hstack([x1, x2])
 
-        def minimal(d, idx):
-            return geo.solve_fundamental_minimal(d[idx, :2], d[idx, 2:])
-
-        def full(d, idx):
-            return geo.solve_fundamental(d[idx, :2], d[idx, 2:])
-
-        def residual(d, F):
-            return geo.sampson_distance(F, d[:, :2], d[:, 2:])
-
         cfg = robust.MsacConfig(
             inlier_threshold=2.0, bucket_size=80.0, rng_seed=seed
         )
         res = robust.msac(
-            data, minimal, residual, cfg, sample_size=7,
-            full_solver=full, positions=x1,
+            data, f_stacked, f_residual, cfg, sample_size=7,
+            full_solver=f_full, positions=x1, stacked=True,
         )
         recovered.append(np.sum(res.inlier_mask & ~bad) / np.sum(~bad))
     assert np.mean(recovered) >= 0.95
@@ -310,6 +301,87 @@ def test_draw_sample_same_stream_as_rng_choice(seed):
         got = robust._draw_sample(ours, 120, size, buckets)
         assert np.array_equal(got, draw_sample_with_choice(ref, 120, size, buckets))
     assert ours.integers(1 << 30) == ref.integers(1 << 30)
+
+
+def reference_samples(seed, n, sample_size, buckets, total):
+    """``total`` samples of the one-at-a-time draw from ``default_rng(seed)``."""
+    rng = np.random.default_rng(seed)
+    return np.array([robust._draw_sample(rng, n, sample_size, buckets) for _ in range(total)])
+
+
+def stream_samples(stream, chunks):
+    return np.vstack([stream.draw(k) for k in chunks])
+
+
+def sample_layout(seed):
+    """(n, sample size, buckets) cycling through the bucket layouts msac meets:
+    a bucket grid with singleton and shared cells, only singletons, exactly
+    sample-size buckets (one of them a singleton) and too few buckets."""
+    rng = np.random.default_rng(seed)
+    size = 3 + seed % 5
+    n = int(rng.integers(40, 400))
+    positions = rng.uniform(0, 400, (n, 2))
+    kind = seed % 4
+    if kind == 0:
+        buckets = robust._bucket_indices(positions, rng.uniform(30.0, 120.0))
+    elif kind == 1:
+        buckets = robust._bucket_indices(positions, 1e-6)
+    elif kind == 2:
+        buckets = [np.array([0])] + [np.arange(1 + i, n, size - 1) for i in range(size - 1)]
+    else:
+        buckets = robust._bucket_indices(positions, 250.0)[: size - 1]
+    return n, size, buckets
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_sample_stream_same_as_draw_sample_loop(seed):
+    n, size, buckets = sample_layout(seed)
+    if seed % 4 == 1:
+        assert all(len(b) == 1 for b in buckets) and len(buckets) == n
+    if seed % 4 == 2:
+        assert len(buckets) == size and min(map(len, buckets)) == 1
+    if seed % 4 == 3:
+        assert len(buckets) < size
+    chunks = [1, 64, *np.random.default_rng(seed).integers(1, 65, 8)]
+    stream = robust._SampleStream(seed, n, size, buckets)
+    got = stream_samples(stream, chunks)
+    assert np.array_equal(got, reference_samples(seed, n, size, buckets, sum(chunks)))
+
+
+@pytest.mark.parametrize(
+    "seed, n, size, buckets",
+    [
+        # a per-point population of 1e5 rejects about 2e-5 of Floyd's words
+        (22, 100_000, 7, None),
+        (24, 100_000, 7, None),
+        # three buckets of 1e5 points: the rejection is in a bucket pick
+        (70, 300_000, 3, [np.arange(i, 300_000, 3) for i in range(3)]),
+    ],
+)
+def test_sample_stream_exact_through_a_rejected_word(seed, n, size, buckets):
+    stream = robust._SampleStream(seed, n, size, buckets)
+    got = stream_samples(stream, [64] * 8)
+    assert stream.rejected > 0
+    assert np.array_equal(got, reference_samples(seed, n, size, buckets, 512))
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+def test_msac_solver_sees_the_draw_sample_stream(stacked):
+    x1, x2 = two_view_with_outliers(planar=True, seed=32)
+    data = np.hstack([x1, x2])
+    seen = []
+
+    def recording_solver(d, idx):
+        seen.append(np.atleast_2d(idx).copy())
+        return (h_stacked if stacked else h_one)(d, idx)
+
+    cfg = robust.MsacConfig(inlier_threshold=2.0, bucket_size=80.0, rng_seed=32)
+    res = robust.msac(data, recording_solver, h_residual, cfg, 4,
+                      full_solver=h_one, positions=x1, stacked=stacked)
+    seen = np.vstack(seen)
+    assert len(seen) >= res.iterations > 1
+    buckets = robust._bucket_indices(x1, cfg.bucket_size)
+    assert np.array_equal(seen, reference_samples(32, len(data), 4, buckets, len(seen)))
 
 
 def test_msac_counts_degenerate_samples():
