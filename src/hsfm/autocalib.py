@@ -255,7 +255,7 @@ def refine(f1, f2, canon, weights: CostWeights, config: AutocalConfig):
     normalized range.
     """
 
-    from scipy.optimize import least_squares  # not loaded by `hsfm match`
+    from scipy.optimize import least_squares  # loaded only by autocalibrated `hsfm sam`
 
     m = 4 * (len(canon) - 1)
 

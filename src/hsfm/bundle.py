@@ -38,13 +38,6 @@ PARAM_PROJECTIVE = "projective"
 _ZERO_COST = 1e-20
 
 
-def _rotation(rotvec) -> np.ndarray:
-    """Rotation matrix of a rotation vector (the pose update)."""
-    from scipy.spatial.transform import Rotation  # not loaded by `hsfm match`
-
-    return Rotation.from_rotvec(rotvec).as_matrix()
-
-
 class SingularNormalEquations(Exception):
     pass
 
@@ -128,7 +121,7 @@ class _CamBlock:
         if delta is not None and self.width:
             pos = 0
             if self.pose_free:
-                R = R @ _rotation(delta[0:3])
+                R = R @ geo.rotation_from_rotvec(delta[0:3])
                 C = C + delta[3:6]
                 pos = 6
             if self.k_free:
@@ -237,7 +230,7 @@ class _CamBlock:
             return
         pos = 0
         if self.pose_free:
-            self.R = self.R @ _rotation(delta[0:3])
+            self.R = self.R @ geo.rotation_from_rotvec(delta[0:3])
             self.C = self.C + delta[3:6]
             pos = 6
         if self.k_free:

@@ -17,17 +17,36 @@ class NoMergeAvailable(Exception):
 
 
 def convex_hull_area(points) -> float:
-    """Area of the 2D convex hull; degenerate hulls (< 3 points, collinear)
-    have area zero."""
-    from scipy.spatial import ConvexHull, QhullError  # not loaded by `hsfm match`
+    """Area of the 2D convex hull; degenerate hulls (< 3 distinct points,
+    collinear) have area zero.
 
-    points = np.asarray(points, float)
-    if points.shape[0] < 3:
+    Andrew's monotone chain (Andrew, IPL 1979) over the points sorted by x
+    then y, then the shoelace formula about the first hull vertex.
+    """
+    points = np.unique(np.asarray(points, float).reshape(-1, 2), axis=0)
+    if len(points) < 3:
         return 0.0
-    try:
-        return float(ConvexHull(points).volume)
-    except QhullError:
+    points = points.tolist()
+
+    def half(chain_points):
+        chain = []
+        for x, y in chain_points:
+            while len(chain) >= 2:
+                (ox, oy), (ax, ay) = chain[-2], chain[-1]
+                if (ax - ox) * (y - oy) - (ay - oy) * (x - ox) > 0:
+                    break
+                chain.pop()  # not a left turn
+            chain.append((x, y))
+        return chain
+
+    hull = half(points)[:-1] + half(reversed(points))[:-1]
+    if len(hull) < 3:
         return 0.0
+    x0, y0 = hull[0]
+    twice = 0.0
+    for (ax, ay), (bx, by) in zip(hull[1:], hull[2:]):
+        twice += (ax - x0) * (by - y0) - (bx - x0) * (ay - y0)
+    return 0.5 * twice
 
 
 def affinity(set_i, set_j, points_i, points_j, area_i, area_j) -> float:

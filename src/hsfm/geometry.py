@@ -8,6 +8,7 @@ K [R | -R C].
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -223,6 +224,30 @@ def hom(points) -> np.ndarray:
 def cross_matrix(v) -> np.ndarray:
     x, y, z = np.asarray(v, float).reshape(3)
     return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+
+
+def rotation_from_rotvec(rotvec) -> np.ndarray:
+    """Rotation matrix of a rotation vector, through the unit quaternion.
+
+    Scalar float arithmetic in the order of scipy's
+    ``Rotation.from_rotvec(v).as_matrix()``, whose results it reproduces bit
+    for bit: the half-angle scale is a Taylor series up to 1e-3 rad.
+    """
+    x, y, z = (float(c) for c in np.asarray(rotvec, float).reshape(3))
+    angle = math.sqrt(x * x + y * y + z * z)
+    if angle <= 1e-3:
+        angle2 = angle * angle
+        scale = 0.5 - angle2 / 48 + angle2 * angle2 / 3840
+    else:
+        scale = math.sin(angle / 2) / angle
+    x, y, z, w = scale * x, scale * y, scale * z, math.cos(angle / 2)
+    x2, y2, z2, w2 = x * x, y * y, z * z, w * w
+    xy, zw, xz, yw, yz, xw = x * y, z * w, x * z, y * w, y * z, x * w
+    return np.array([
+        [x2 - y2 - z2 + w2, 2 * (xy - zw), 2 * (xz + yw)],
+        [2 * (xy + zw), -x2 + y2 - z2 + w2, 2 * (yz - xw)],
+        [2 * (xz - yw), 2 * (yz + xw), -x2 - y2 + z2 + w2],
+    ])
 
 
 def compose_projection(K, R, C) -> np.ndarray:
@@ -871,7 +896,7 @@ def resect_calibrated(points3d, points2d, intrinsics: Intrinsics, refine: bool =
     """External orientation from 3D-2D correspondences with known intrinsics.
 
     Procrustean alternation provides the initial pose, optionally polished by
-    Levenberg-Marquardt on the pixel reprojection error.
+    Levenberg-Marquardt on the pixel reprojection error (``_polish_pose``).
 
     Returns
     -------
@@ -889,22 +914,79 @@ def resect_calibrated(points3d, points2d, intrinsics: Intrinsics, refine: bool =
     R, t = _ppnp(rays, points3d)
 
     if refine:
-        from scipy.optimize import least_squares  # not loaded by `hsfm match`
-        from scipy.spatial.transform import Rotation
-
-        rot0 = Rotation.from_matrix(R)
-
-        def residual(params):
-            Rc = (Rotation.from_rotvec(params[:3]) * rot0).as_matrix()
-            cam = points3d @ Rc.T + params[3:]
-            w = np.where(np.abs(cam[:, 2]) < 1e-12, 1e-12, cam[:, 2])
-            uv = (cam[:, :2] / w[:, None]) @ K[:2, :2].T + K[:2, 2]
-            return (uv - points2d).ravel()
-
-        sol = least_squares(residual, np.hstack([np.zeros(3), t]), method="lm")
-        R = (Rotation.from_rotvec(sol.x[:3]) * rot0).as_matrix()
-        t = sol.x[3:]
+        R, t = _polish_pose(points3d, points2d, K, R, t)
     return R, -R.T @ t
+
+
+def _pose_residual(points3d, points2d, K, R, t, jacobian=False):
+    """Pixel residuals (2N,) of the pose (R, t); with ``jacobian``, also their
+    (2N, 6) derivative in (omega, dt) for the update R <- R(omega) R,
+    t <- t + dt, taken at zero."""
+    rx = points3d @ R.T
+    cam = rx + t
+    w = np.where(np.abs(cam[:, 2]) < 1e-12, 1e-12, cam[:, 2])
+    xy = cam[:, :2] / w[:, None]
+    r = (xy @ K[:2, :2].T + K[:2, 2] - points2d).ravel()
+    if not jacobian:
+        return r
+    inv_w = 1.0 / w
+    d_xy = np.zeros((len(w), 2, 3))  # d(x/z, y/z) / d cam
+    d_xy[:, 0, 0] = d_xy[:, 1, 1] = inv_w
+    d_xy[:, :, 2] = -xy * inv_w[:, None]
+    d_cam = K[:2, :2] @ d_xy  # d uv / d cam
+    # d cam / d omega = -[R X]x, so a row a of d_cam gives a^T (-[R X]x) = (R X x a)^T
+    d_rot = np.cross(rx[:, None, :], d_cam)
+    return r, np.concatenate([d_rot, d_cam], axis=2).reshape(-1, 6)
+
+
+def _polish_pose(points3d, points2d, K, R, t, max_iterations=100, tol=1e-8):
+    """Levenberg-Marquardt on the pixel reprojection error of a pose.
+
+    Analytic Jacobian, Marquardt's diagonal damping scaled by 10 on a rejected
+    step and by 1/10 on an accepted one (Madsen, Nielsen & Tingleff 2004,
+    section 3.2).  Stops when an accepted step lowers the cost, both actually
+    and as the linear model predicts, or moves the parameters, by at most
+    ``tol`` relative: the tests and tolerances of MINPACK's LM.
+    Only cost-lowering steps are taken, so the pose returned is never worse
+    than the one given.
+    """
+    r, J = _pose_residual(points3d, points2d, K, R, t, jacobian=True)
+    cost = 0.5 * float(r @ r)
+    if not np.isfinite(cost) or cost == 0.0:
+        return R, t
+    omega = np.zeros(3)  # the rotation vectors taken, summed
+    lam = 1e-3
+    for _ in range(max_iterations):
+        H = J.T @ J
+        g = J.T @ r
+        while True:
+            try:
+                step = np.linalg.solve(H + lam * np.diag(np.diag(H)), -g)
+            except np.linalg.LinAlgError:
+                step = None
+            if step is not None and np.all(np.isfinite(step)):
+                R_new = rotation_from_rotvec(step[:3]) @ R
+                t_new = t + step[3:]
+                r = _pose_residual(points3d, points2d, K, R_new, t_new)
+                cost_new = 0.5 * float(r @ r)
+                if cost_new < cost:
+                    break
+            lam *= 10.0
+            if lam > 1e16:
+                return R, t
+        lam /= 10.0
+        omega += step[:3]
+        actual = (cost - cost_new) / cost
+        predicted = (-(g @ step) - 0.5 * step @ H @ step) / cost
+        R, t, cost = R_new, t_new, cost_new
+        if (
+            cost == 0.0
+            or max(actual, predicted) <= tol
+            or np.linalg.norm(step) <= tol * (np.linalg.norm(np.hstack([omega, t])) + tol)
+        ):
+            break
+        r, J = _pose_residual(points3d, points2d, K, R, t, jacobian=True)
+    return R, t
 
 
 def resect_projective_dlt(points3d, points2d) -> np.ndarray:

@@ -232,11 +232,14 @@ class _SampleStream:
     def draw(self, k):
         """The next ``k`` samples, (k, sample_size)."""
         s, pop, ranges = self.size, self.pop, self._ranges
+        self._words = self._words[self._pos:]
+        self._pos = 0
+        if k == 1:  # one word at a time is cheaper than the vector path here
+            sample, self._pos = self._draw_exact(0)
+            return np.array([sample], np.intp)
         f = len(ranges)
         per = f + s  # most words a sample reads without a rejection
         offsets = max(k - 1, 0) * per + 1  # where the k samples can start
-        self._words = self._words[self._pos:]
-        self._pos = 0
         self._word(offsets + per)
         w = self._words
         # choice's draws at every offset o: row t reads word o + t

@@ -49,6 +49,35 @@ def test_affinity_degenerate_hull_counts_zero():
     assert a == pytest.approx(0.5)  # jaccard term only
 
 
+def test_convex_hull_area_matches_qhull():
+    from scipy.spatial import ConvexHull
+
+    rng = np.random.default_rng(46)
+    for k in range(300):
+        n = int(rng.integers(3, 500))
+        points = rng.uniform(0, 1000, (n, 2)) * rng.uniform(0.01, 1.0, 2)
+        if k % 3 == 0:  # on a pixel grid: duplicates and collinear hull edges
+            points = np.round(points)
+        expected = ConvexHull(points).volume
+        assert abs(clustering.convex_hull_area(points) - expected) <= 1e-12 * expected
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        np.zeros((0, 2)),
+        [[3.0, 4.0]],
+        [[3.0, 4.0], [5.0, -1.0]],
+        [[0.0, 0.0], [1.0, 2.0], [2.0, 4.0], [-3.0, -6.0]],  # collinear
+        [[0.0, 5.0], [0.0, 1.0], [0.0, 3.0]],                # collinear, vertical
+        [[2.0, 7.0]] * 6,                                    # all duplicates
+        [[0.0, 0.0], [1.0, 1.0], [1.0, 1.0], [0.0, 0.0]],    # two distinct points
+    ],
+)
+def test_convex_hull_area_degenerate_is_zero(points):
+    assert clustering.convex_hull_area(points) == 0.0
+
+
 @settings(max_examples=100)
 @given(
     st.sets(st.integers(0, 30), min_size=0, max_size=15),

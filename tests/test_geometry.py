@@ -576,6 +576,77 @@ def test_resect_calibrated_inside_msac_with_outliers():
     assert np.linalg.norm(got.C - cam.C) < 1e-4
 
 
+def noisy_resection(seed, n, sigma=1.0):
+    """A random camera, ``n`` points in front of it and their pixels with
+    Gaussian noise, plus the PPnP start pose (R, t)."""
+    rng = np.random.default_rng(seed)
+    cam = random_camera(rng)
+    pts = rng.uniform(-2, 2, (n, 3))
+    obs = geo.project(cam, pts) + rng.normal(0.0, sigma, (n, 2))
+    K = cam.intrinsics.K
+    R, t = geo._ppnp(geo.hom(obs) @ np.linalg.inv(K).T, pts)
+    return pts, obs, K, R, t
+
+
+def pose_cost(pts, obs, K, R, t):
+    r = geo._pose_residual(pts, obs, K, R, t)
+    return 0.5 * float(r @ r)
+
+
+def test_rotation_from_rotvec_same_bits_as_scipy():
+    from scipy.spatial.transform import Rotation
+
+    rng = np.random.default_rng(44)
+    axes = rng.normal(size=(12_000, 3))
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    angles = np.concatenate([
+        np.zeros(1),
+        10.0 ** rng.uniform(-12, -3, 3000),          # the Taylor branch
+        np.full(500, 1e-3),                          # its edge
+        np.full(500, np.nextafter(1e-3, 1.0)),
+        np.pi - 10.0 ** rng.uniform(-12, -1, 2000),  # near pi
+        np.full(500, np.pi),
+        rng.uniform(0.0, np.pi, 4000),
+        rng.uniform(np.pi, 20.0, 1499),
+    ])
+    for v in axes[: len(angles)] * angles[:, None]:
+        assert np.array_equal(geo.rotation_from_rotvec(v), Rotation.from_rotvec(v).as_matrix())
+
+
+def test_pose_jacobian_matches_central_differences():
+    pts, obs, K, R, t = noisy_resection(45, 12)
+    K[0, 1] = 3.0  # a skewed K exercises every entry of K[:2, :2]
+    _, J = geo._pose_residual(pts, obs, K, R, t, jacobian=True)
+    h = 1e-6
+    numeric = np.empty_like(J)
+    for k in range(6):
+        d = np.zeros(6)
+        d[k] = h
+        plus = geo._pose_residual(pts, obs, K, geo.rotation_from_rotvec(d[:3]) @ R, t + d[3:])
+        minus = geo._pose_residual(pts, obs, K, geo.rotation_from_rotvec(-d[:3]) @ R, t - d[3:])
+        numeric[:, k] = (plus - minus) / (2 * h)
+    assert np.max(np.abs(J - numeric)) <= 1e-6 * np.max(np.abs(J))
+
+
+@pytest.mark.parametrize("n", [4, 6, 12, 40, 200])
+def test_resect_polish_cost_no_worse_than_least_squares(n):
+    from scipy.optimize import least_squares
+    from scipy.spatial.transform import Rotation
+
+    for seed in range(20):
+        pts, obs, K, R0, t0 = noisy_resection(100 * n + seed, n)
+
+        def residual(params):
+            Rc = (Rotation.from_rotvec(params[:3]) * Rotation.from_matrix(R0)).as_matrix()
+            return geo._pose_residual(pts, obs, K, Rc, params[3:])
+
+        oracle = least_squares(residual, np.hstack([np.zeros(3), t0]), method="lm")
+        R, t = geo._polish_pose(pts, obs, K, R0, t0)
+        cost = pose_cost(pts, obs, K, R, t)
+        assert cost <= pose_cost(pts, obs, K, R0, t0)
+        assert cost <= oracle.cost * (1 + 1e-9)
+
+
 def test_resect_projective_dlt_exact():
     rng = np.random.default_rng(43)
     cam = random_camera(rng)

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -250,24 +251,64 @@ def test_cli_synth_sam_eval_round_trip(tmp_path, capsys):
     assert "RMS" in out
 
 
-def test_cli_match_loads_no_scipy(tmp_path):
-    # scipy serves only sam's polish, focal refinement, pose update and hull
-    # area; a match process must not pay for importing it
-    scene_dir = str(tmp_path / "scene")
-    fileio.write_scene(synthetic.generate("ring", 4, 80, seed=6, noise_sigma=0.3), scene_dir)
+def scipy_imports(*commands, code=""):
+    """The scipy modules a fresh process imports while it runs the Python
+    ``code`` and then the ``hsfm`` ``commands`` (argument lists), in the
+    order of their first import."""
     script = (
         "import sys\n"
+        "class Spy:\n"
+        "    seen = []\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name.split('.')[0] == 'scipy':\n"
+        "            Spy.seen.append(name)\n"
+        "sys.meta_path.insert(0, Spy())\n"
         "from hsfm import cli\n"
-        f"assert cli.main(['match', '--input', {scene_dir!r}]) == 0\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        + code
+        + "".join(f"assert cli.main({argv!r}) == 0\n" for argv in commands)
+        + "import json\nprint(json.dumps(Spy.seen))\n"
     )
     src = os.path.dirname(os.path.dirname(hsfm.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                          text=True, timeout=300)
     assert run.returncode == 0, run.stderr
+    return json.loads(run.stdout.splitlines()[-1])
+
+
+def test_cli_match_loads_no_scipy(tmp_path):
+    # only autocalibrated sam's focal refinement uses scipy; a match process
+    # must not pay for importing it
+    scene_dir = str(tmp_path / "scene")
+    fileio.write_scene(synthetic.generate("ring", 4, 80, seed=6, noise_sigma=0.3), scene_dir)
+    assert scipy_imports(["match", "--input", scene_dir]) == []
     assert os.path.isfile(os.path.join(scene_dir, "verified_matches.txt"))
-    assert run.stdout.splitlines()[-1] == "[]"
+
+
+def test_cli_calibrated_sam_loads_no_scipy(tmp_path):
+    scene_dir, out_dir = str(tmp_path / "scene"), str(tmp_path / "out")
+    fileio.write_scene(synthetic.generate("ring", 5, 120, seed=6, noise_sigma=0.3), scene_dir)
+    loaded = scipy_imports(
+        ["match", "--input", scene_dir],
+        ["sam", "--input", scene_dir, "--out", out_dir, "--mode", "calibrated"],
+    )
+    assert os.path.isfile(os.path.join(out_dir, "model_0_cameras.txt"))
+    assert loaded == []
+
+
+def test_cli_autocalibrated_sam_loads_scipy_only_for_least_squares(tmp_path):
+    # the focal refinement still imports scipy.optimize, which itself imports
+    # scipy.spatial; no other code may import a scipy module before or beyond it
+    scene_dir, out_dir = str(tmp_path / "scene"), str(tmp_path / "out")
+    fileio.write_scene(synthetic.generate("ring", 6, 120, seed=31, noise_sigma=0.3), scene_dir)
+    loaded = scipy_imports(
+        ["match", "--input", scene_dir],
+        ["sam", "--input", scene_dir, "--out", out_dir, "--mode", "autocalibrated"],
+    )
+    assert os.path.isfile(os.path.join(out_dir, "model_0_cameras.txt"))
+    bare = scipy_imports(code="import scipy\n")
+    assert [m for m in loaded if m not in bare][0] == "scipy.optimize"
+    assert set(loaded) <= set(scipy_imports(code="from scipy.optimize import least_squares\n"))
 
 
 def test_cli_cluster_report(tmp_path, capsys):

@@ -345,22 +345,35 @@ def test_sample_stream_same_as_draw_sample_loop(seed):
     chunks = [1, 64, *np.random.default_rng(seed).integers(1, 65, 8)]
     stream = robust._SampleStream(seed, n, size, buckets)
     got = stream_samples(stream, chunks)
-    assert np.array_equal(got, reference_samples(seed, n, size, buckets, sum(chunks)))
+    reference = reference_samples(seed, n, size, buckets, sum(chunks))
+    assert np.array_equal(got, reference)
+    # a run of single draws, as the per-sample fits make, reads the same words
+    singles = stream_samples(robust._SampleStream(seed, n, size, buckets), [1] * 100)
+    assert np.array_equal(singles, reference[:100])
 
 
-@pytest.mark.parametrize(
-    "seed, n, size, buckets",
-    [
-        # a per-point population of 1e5 rejects about 2e-5 of Floyd's words
-        (22, 100_000, 7, None),
-        (24, 100_000, 7, None),
-        # three buckets of 1e5 points: the rejection is in a bucket pick
-        (70, 300_000, 3, [np.arange(i, 300_000, 3) for i in range(3)]),
-    ],
-)
+# layouts whose first 512 samples meet a Lemire rejection
+REJECTED_WORD_LAYOUTS = [
+    # a per-point population of 1e5 rejects about 2e-5 of Floyd's words
+    (22, 100_000, 7, None),
+    (24, 100_000, 7, None),
+    # three buckets of 1e5 points: the rejection is in a bucket pick
+    (70, 300_000, 3, [np.arange(i, 300_000, 3) for i in range(3)]),
+]
+
+
+@pytest.mark.parametrize("seed, n, size, buckets", REJECTED_WORD_LAYOUTS)
 def test_sample_stream_exact_through_a_rejected_word(seed, n, size, buckets):
     stream = robust._SampleStream(seed, n, size, buckets)
     got = stream_samples(stream, [64] * 8)
+    assert stream.rejected > 0
+    assert np.array_equal(got, reference_samples(seed, n, size, buckets, 512))
+
+
+@pytest.mark.parametrize("seed, n, size, buckets", REJECTED_WORD_LAYOUTS)
+def test_sample_stream_single_draws_exact_through_a_rejected_word(seed, n, size, buckets):
+    stream = robust._SampleStream(seed, n, size, buckets)
+    got = stream_samples(stream, [1] * 512)
     assert stream.rejected > 0
     assert np.array_equal(got, reference_samples(seed, n, size, buckets, 512))
 
