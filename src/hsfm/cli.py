@@ -141,7 +141,7 @@ def _match(input_dir, data, config, broad_phase=False):
 
 
 def _tracks_from_edges(edges, config) -> TrackSet:
-    return graph.build_tracks(edges, min_track_length=config.final_min_track_length)
+    return graph.build_tracks(edges, min_track_length=config.min_track_length)
 
 
 # ---------------------------------------------------------------------------
@@ -193,13 +193,12 @@ def cmd_cluster(args):
     images, data = _load_images(args.input)
     edges = _load_edges_or_verify(args, config, data)
     tracks = _tracks_from_edges(edges, config)
-    usable = TrackSet([t for t in tracks if len(t) >= config.min_track_length])
     keypoints = {img: data[img][1] for img in data}
     sizes = {img: data[img][0] for img in data}
-    affinity = clustering.affinity_matrix(usable, keypoints, sizes)
+    affinity = clustering.affinity_matrix(tracks, keypoints, sizes)
     root = clustering.build_balanced_dendrogram(1.0 - affinity, ell=config.ell)
     print(root.render())
-    print(f"height {root.height} over {len(images)} images, {len(usable)} tracks")
+    print(f"height {root.height} over {len(images)} images, {len(tracks)} tracks")
     return 0
 
 

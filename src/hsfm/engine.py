@@ -56,7 +56,6 @@ class EngineConfig:
     final_reproj_divisor: float = 2400.0
     condition_limit: float = 1e4
     min_track_length: int = 3
-    final_min_track_length: int = 2
     autocal_min_cameras: int = 4
     fix_internals_after: int = 25
     ell: int = 3
@@ -148,6 +147,12 @@ class Engine:
         self.images = images
         self.tracks = tracks
         self.config = config
+        # indices into ``tracks`` of those long enough to be modelled
+        self.usable = [
+            t_idx
+            for t_idx, track in enumerate(tracks)
+            if len(track) >= config.min_track_length
+        ]
         self.edge_map = {tuple(sorted(e.pair)): e for e in edges}
         self.adjusted_with = {img: 0 for img in images}
         self.actions = []
@@ -180,21 +185,14 @@ class Engine:
 
     # -- tie-point bookkeeping ----------------------------------------------
 
-    def _track_usable(self, t_idx, allow_short=False) -> bool:
-        gate = (
-            self.config.final_min_track_length
-            if allow_short
-            else self.config.min_track_length
-        )
-        return len(self.tracks[t_idx]) >= gate
-
-    def sync_tie_points(self, model: geo.Model, allow_short=False):
+    def sync_tie_points(self, model: geo.Model):
         """Ensure every usable track with >= 2 member cameras is represented."""
         present = {tp.track_index for tp in model.tie_points}
         cams = set(model.cameras)
-        for t_idx, track in enumerate(self.tracks):
-            if t_idx in present or not self._track_usable(t_idx, allow_short):
+        for t_idx in self.usable:
+            if t_idx in present:
                 continue
+            track = self.tracks[t_idx]
             members = set(track.members) & cams
             if len(members) < 2:
                 continue
@@ -208,7 +206,7 @@ class Engine:
                 )
             )
 
-    def intersect_pending(self, model: geo.Model, final=False, allow_short=False):
+    def intersect_pending(self, model: geo.Model, final=False):
         """(Re-)triangulate every track with >= 2 member cameras.
 
         A candidate point is kept when the linear system is well conditioned,
@@ -216,7 +214,7 @@ class Engine:
         the median-deviation rule, and every member reprojection respects the
         per-image safeguard threshold (the tighter final one when ``final``).
         """
-        self.sync_tie_points(model, allow_short)
+        self.sync_tie_points(model)
         point, image, uv = geo.observations(model.tie_points, model.cameras)
         order = np.lexsort((image, point))  # each point's views together
         point, image, uv = point[order], image[order], uv[order]
@@ -340,9 +338,8 @@ class Engine:
 
     def _pair_tracks(self, img_a, img_b):
         idx, x1, x2 = [], [], []
-        for t_idx, track in enumerate(self.tracks):
-            if not self._track_usable(t_idx):
-                continue
+        for t_idx in self.usable:
+            track = self.tracks[t_idx]
             if img_a in track.members and img_b in track.members:
                 idx.append(t_idx)
                 x1.append(self._pixel(img_a, track.members[img_a]))
@@ -647,9 +644,10 @@ class Engine:
     def run(self) -> EngineResult:
         ids = sorted(self.images)
         keypoints = {img: self.images[img].keypoints for img in ids}
-        usable = [t for t in self.tracks if len(t) >= self.config.min_track_length]
         affinity = clustering.affinity_matrix(
-            TrackSet(usable), keypoints, self.image_sizes()
+            TrackSet([self.tracks[t_idx] for t_idx in self.usable]),
+            keypoints,
+            self.image_sizes(),
         )
         state = clustering.ClusteringState(
             1.0 - affinity, ell=self.config.ell, leaf_ids=ids
@@ -735,12 +733,12 @@ class Engine:
         return self.resection_intersection(model, leaf[0]), RESECTION
 
     def _final_pass(self, model: geo.Model):
-        """Final full adjustment under the tighter safeguard threshold, then
-        a last intersection that also admits the length-two tracks; those
-        extra points join after the adjustment and do not influence it."""
+        """Final full adjustment between two intersections under the tighter
+        safeguard threshold; the last one drops the points the adjustment
+        pushed past it and admits those it brought within."""
         self.intersect_pending(model, final=True)
         self.bundle_adjust(model)
-        self.intersect_pending(model, final=True, allow_short=True)
+        self.intersect_pending(model, final=True)
 
 
 def run(images, tracks, edges, config: EngineConfig) -> EngineResult:
@@ -749,8 +747,8 @@ def run(images, tracks, edges, config: EngineConfig) -> EngineResult:
     Parameters
     ----------
     images : image id -> ImageInfo (intrinsics required in calibrated mode).
-    tracks : TrackSet (length-2 tracks included; they only enter at the
-        final intersection).
+    tracks : TrackSet; only tracks of at least ``config.min_track_length``
+        images are modelled, and tie-point track indices index this set.
     edges : verified EpipolarEdge list (two-view classes and matrices).
     config : EngineConfig.
     """

@@ -78,8 +78,7 @@ class PipelineConfig:
     # autocalibration
     autocal_min_cameras: int = 4
     fix_internals_after: int = 25
-    # prologue
-    final_min_track_length: int = 2
+    # final pass
     final_reproj_divisor: float = 2400.0
 
     def serialize(self) -> str:
@@ -146,21 +145,10 @@ class PipelineConfig:
         )
 
     def engine_config(self) -> engine.EngineConfig:
+        """Every field the engine's config shares with this one, by name."""
+        shared = {f.name for f in dataclasses.fields(engine.EngineConfig)}
         return engine.EngineConfig(
-            mode=self.mode,
-            reproj_divisor=self.reproj_divisor,
-            final_reproj_divisor=self.final_reproj_divisor,
-            condition_limit=self.condition_limit,
-            min_track_length=self.min_track_length,
-            final_min_track_length=self.final_min_track_length,
-            autocal_min_cameras=self.autocal_min_cameras,
-            fix_internals_after=self.fix_internals_after,
-            ell=self.ell,
-            local_ba=self.local_ba,
-            max_ba_iterations=self.max_ba_iterations,
-            msac_max_iterations=self.msac_max_iterations,
-            bucket_divisor=self.bucket_divisor,
-            rng_seed=self.rng_seed,
+            **{name: getattr(self, name) for name in shared & vars(self).keys()}
         )
 
 

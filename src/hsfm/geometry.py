@@ -513,7 +513,8 @@ def sampson_homography(H, pts1, pts2) -> np.ndarray:
     J[:, 1, 2] = -p[:, 2]
     JJt = np.einsum("nij,nkj->nik", J, J)
     a, b, d = JJt[:, 0, 0], JJt[:, 0, 1], JJt[:, 1, 1]
-    det = np.maximum(a * d - b * b, 1e-14)
+    # floored relative to its own scale, so pixel units do not matter
+    det = np.maximum(a * d - b * b, 1e-14 * a * d)
     # g' (J J')^-1 g with the closed-form 2x2 inverse
     e2 = (d * g[:, 0] ** 2 - 2 * b * g[:, 0] * g[:, 1] + a * g[:, 1] ** 2) / det
     return np.sqrt(np.maximum(e2, 0.0))

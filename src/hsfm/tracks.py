@@ -14,9 +14,6 @@ class Track:
     def __len__(self):
         return len(self.members)
 
-    def images(self):
-        return set(self.members)
-
     def key(self):
         return tuple(sorted(self.members.items()))
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hsfm import engine, fileio, geometry as geo, graph, robust, synthetic
-from hsfm.tracks import TrackSet
+from hsfm.tracks import Track, TrackSet
 
 
 def scene_inputs(scene, calibrated=True):
@@ -159,13 +159,27 @@ def test_sibling_camera_sets_disjoint_then_union():
                 assert act.cameras == len(sa | sb)
 
 
-def test_final_pass_adds_short_tracks():
+def test_no_output_point_seen_by_fewer_than_min_track_length_images():
+    # a two-view track has no redundancy: plant one whose second keypoint is
+    # a gross outlier on the epipolar line, so it triangulates without error
     scene = synthetic.generate("ring", 5, 200, seed=38)
-    # restrict visibility so some tracks have exactly two observations
-    result = run_scene(scene)
-    model = result.models[0]
-    lengths = [len(scene.tracks[tp.track_index]) for tp in model.triangulated()]
-    assert min(lengths) >= 2
+    i, j = 0, 4
+    p = min(set(scene.observations[i]) & set(scene.observations[j]))
+    center = scene.cameras[i].center()
+    wrong = center + 1.3 * (scene.points[p] - center)  # same ray from camera i
+    planted = {}
+    for img in (i, j):
+        uv = geo.project(scene.cameras[img], wrong)
+        planted[img] = len(scene.keypoints[img])
+        scene.keypoints[img] = np.vstack([scene.keypoints[img], [*uv, 1.0, 0.0]])
+    assert np.linalg.norm(uv - scene.observations[j][p]) > 400.0
+    tracks = TrackSet([*scene.tracks, Track(planted)])
+    config = engine.EngineConfig()
+    result = engine.run(scene_inputs(scene), tracks, verified_edges(scene), config)
+    assert {i, j} <= set(result.models[0].cameras)
+    for model in result.models:
+        for tp in model.triangulated():
+            assert len(tracks[tp.track_index]) >= config.min_track_length
 
 
 def test_reprojection_gate_holds_everywhere():

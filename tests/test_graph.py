@@ -3,6 +3,7 @@ import pytest
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_flow
 
+from hsfm import fileio
 from hsfm import geometry as geo
 from hsfm import graph, robust
 from hsfm import synthetic
@@ -218,6 +219,36 @@ def test_narrow_phase_deterministic():
         runs.append(edge)
     assert np.array_equal(runs[0].matches, runs[1].matches)
     assert np.array_equal(runs[0].matrix, runs[1].matrix)
+
+
+def test_narrow_phase_invariant_to_pixel_scale():
+    # thresholds and buckets follow the image diagonal, so measuring every
+    # pixel coordinate in smaller units must not change a pair's class or
+    # inliers (the benchmark's calibrated ring scene and default config)
+    scene = synthetic.generate("ring", 12, 350, seed=12, noise_sigma=0.5, outlier_rate=0.02)
+
+    def verify_all(k):
+        out = {}
+        config = fileio.PipelineConfig().verify_config(k * scene.diagonal)
+        for (i, j), matches in sorted(scene.matches.items()):
+            kp_i, kp_j = (scene.keypoints[img] * [k, k, 1, 1] for img in (i, j))
+            out[i, j] = graph.narrow_phase_verify(
+                (i, j), kp_i, kp_j, None, None, config, candidate_matches=matches
+            )
+        return out
+
+    base = verify_all(1)
+    for scale in (2, 3):
+        scaled = verify_all(scale)
+        assert scaled.keys() == base.keys()
+        for pair, edge in base.items():
+            other = scaled[pair]
+            assert type(other) is type(edge), (scale, pair)
+            if isinstance(edge, graph.EpipolarEdge):
+                assert other.model_class == edge.model_class, (scale, pair)
+                assert np.array_equal(other.matches, edge.matches), (scale, pair)
+            else:
+                assert other.reason == edge.reason, (scale, pair)
 
 
 # ---------------------------------------------------------------------------

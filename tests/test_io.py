@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -33,6 +34,25 @@ def test_config_round_trip(tmp_path):
 def test_config_rejects_unknown_key():
     with pytest.raises(fileio.ParseError):
         fileio.PipelineConfig.parse("no_such_thing = 3")
+
+
+def test_engine_config_forwards_every_shared_field():
+    shared = {f.name for f in dataclasses.fields(engine.EngineConfig)} & {
+        f.name for f in dataclasses.fields(fileio.PipelineConfig)
+    }
+    assert {"mode", "min_track_length", "final_reproj_divisor", "rng_seed"} <= shared
+    changed = {}
+    for name in shared:
+        default = getattr(fileio.PipelineConfig(), name)
+        if isinstance(default, bool):
+            changed[name] = not default
+        elif isinstance(default, str):
+            changed[name] = engine.AUTOCALIBRATED
+        else:
+            changed[name] = default + 1
+    assert all(v != getattr(engine.EngineConfig(), k) for k, v in changed.items())
+    forwarded = fileio.PipelineConfig(**changed).engine_config()
+    assert {name: getattr(forwarded, name) for name in shared} == changed
 
 
 def test_config_env_override():
@@ -231,6 +251,29 @@ def test_cli_calibrated_without_intrinsics(tmp_path, capsys):
     )
     assert code == 2
     assert "intrinsics" in capsys.readouterr().err
+
+
+def test_cli_rejects_removed_config_key(tmp_path, capsys):
+    # an old config file asking for two-view points must fail loudly, not
+    # run with a different meaning
+    scene_dir, out_dir = tmp_path / "scene", tmp_path / "out"
+    fileio.write_scene(synthetic.generate("ring", 4, 80, seed=6), scene_dir)
+    lines = fileio.PipelineConfig().serialize().splitlines()
+    lines.insert(18, "final_min_track_length = 2")
+    config = tmp_path / "config.txt"
+    config.write_text("\n".join(lines) + "\n")
+    code = cli.main(
+        ["sam", "--input", str(scene_dir), "--out", str(out_dir), "--config", str(config)]
+    )
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ParseError"
+    assert f"{config}:19:" in err["message"]
+    assert "final_min_track_length" in err["message"]
+    assert not out_dir.exists()
+    with pytest.raises(SystemExit):
+        cli.main(["sam", "--help"])
+    assert "--final-min-track-length" not in capsys.readouterr().out
 
 
 def test_cli_synth_sam_eval_round_trip(tmp_path, capsys):
