@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import geometry as geo
+from . import geometry as geo, lm
 
 
 class AutocalError(Exception):
@@ -251,44 +251,62 @@ def refine(f1, f2, canon, weights: CostWeights, config: AutocalConfig):
     signed plausibility terms of all upgraded cameras.
 
     The plane at infinity is re-derived from the current intrinsics guess at
-    every evaluation.  Fails when the refined focals leave the legal
-    normalized range.
+    every evaluation.  ``lm.minimize`` at relative tolerance 1e-8, on forward
+    differences; raises ``NoConvergence`` after ``refine_max_iterations``
+    iterations, and fails when the refined focals leave the legal range.
     """
-
-    from scipy.optimize import least_squares  # loaded only by autocalibrated `hsfm sam`
-
     m = 4 * (len(canon) - 1)
 
     def residual(params):
-        g1, g2, u1, v1, u2, v2 = params
-        if min(g1, g2) < 0.02 or max(g1, g2) > 20.0:
+        if min(params[:2]) < 0.02 or max(params[:2]) > 20.0:
             return np.full(m, 1e6)  # keep clear of singular calibrations
-        K1 = np.array([[g1, 0.0, u1], [0.0, g1, v1], [0.0, 0.0, 1.0]])
-        K2 = np.array([[g2, 0.0, u2], [0.0, g2, v2], [0.0, 0.0, 1.0]])
         try:
-            r = plane_at_infinity(canon[1], K1, K2)
+            H = _collineation(canon, params).H
         except ZeroEpipole:
             return np.full(m, 1e6)
-        H = UpgradeCollineation(K1=K1, r=r).H
         Ks = _upgraded_intrinsics(canon[1:], H)
         return np.concatenate([plausibility_terms(K, weights) for K in Ks])
 
-    x0 = np.array([f1, f2, 0.0, 0.0, 0.0, 0.0])
-    sol = least_squares(
-        residual, x0, method="trf", max_nfev=config.refine_max_iterations * 7
+    x = np.array([f1, f2, 0.0, 0.0, 0.0, 0.0])
+    res = trial_res = residual(x)
+
+    def linearize():
+        # forward differences with the default step of scipy's least_squares
+        sign = np.where(x >= 0, 1.0, -1.0)
+        probes = x + np.diag(np.sqrt(np.finfo(float).eps) * sign * np.maximum(1.0, np.abs(x)))
+        J = np.column_stack([residual(p) - res for p in probes]) / (probes.diagonal() - x)
+        return lm.dense_system(J, res)
+
+    def trial(step):
+        nonlocal trial_res
+        trial_res = residual(x + step)
+        return float(trial_res @ trial_res)
+
+    def accept(step, cost):
+        nonlocal x, res
+        x, res = x + step, trial_res
+        return cost
+
+    report = lm.minimize(
+        float(res @ res), linearize, lm.damped_solve, trial, accept,
+        tol=1e-8, max_iterations=config.refine_max_iterations,
     )
-    if not sol.success and sol.status == 0:
+    if report.termination == "not_converged":
         raise NoConvergence("focal refinement hit the iteration budget")
-    g1, g2, u1, v1, u2, v2 = sol.x
     lo, hi = config.focal_low, config.focal_high
-    if not (lo <= g1 <= hi and lo <= g2 <= hi):
+    if not (lo <= x[0] <= hi and lo <= x[1] <= hi):
         raise OutsideLegalRange(
-            f"refined focals ({g1:.3f}, {g2:.3f}) outside [{lo:.3f}, {hi:.3f}]"
+            f"refined focals ({x[0]:.3f}, {x[1]:.3f}) outside [{lo:.3f}, {hi:.3f}]"
         )
+    return _collineation(canon, x), (x[0], x[1])
+
+
+def _collineation(canon, params) -> UpgradeCollineation:
+    """The upgrade for reference intrinsics (g1, g2, u1, v1, u2, v2)."""
+    g1, g2, u1, v1, u2, v2 = params
     K1 = np.array([[g1, 0.0, u1], [0.0, g1, v1], [0.0, 0.0, 1.0]])
     K2 = np.array([[g2, 0.0, u2], [0.0, g2, v2], [0.0, 0.0, 1.0]])
-    r = plane_at_infinity(canon[1], K1, K2)
-    return UpgradeCollineation(K1=K1, r=r), (g1, g2)
+    return UpgradeCollineation(K1=K1, r=plane_at_infinity(canon[1], K1, K2))
 
 
 def upgrade(model: geo.Model, image_sizes, config: AutocalConfig = None) -> geo.Model:

@@ -123,13 +123,13 @@ class PipelineConfig:
         return cls(**values)
 
     def apply_env(self, environ) -> "PipelineConfig":
-        """Override fields from HSFM_<NAME> environment variables."""
+        """Override fields from HSFM_<NAME> variables; an unknown NAME is a ParseError."""
         out = dataclasses.replace(self)
-        for f in dataclasses.fields(self):
-            key = f"HSFM_{f.name.upper()}"
-            if key in environ:
-                parsed = PipelineConfig.parse(f"{f.name} = {environ[key]}")
-                setattr(out, f.name, getattr(parsed, f.name))
+        for key, value in environ.items():
+            if key.startswith("HSFM_"):
+                name = key[5:].lower()
+                parsed = PipelineConfig.parse(f"{name} = {value}", path=key)
+                setattr(out, name, getattr(parsed, name))
         return out
 
     def verify_config(self, diagonal: float) -> VerifyConfig:

@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import lm
+
 
 class GeometryError(Exception):
     pass
@@ -893,10 +895,10 @@ def _ppnp(rays, points3d, max_iterations=200, tol=1e-9):
     raise PoseDivergence("pose solver converged behind the camera")
 
 
-def resect_calibrated(points3d, points2d, intrinsics: Intrinsics, refine: bool = True):
+def resect_calibrated(points3d, points2d, intrinsics: Intrinsics):
     """External orientation from 3D-2D correspondences with known intrinsics.
 
-    Procrustean alternation provides the initial pose, optionally polished by
+    Procrustean alternation provides the initial pose, polished by
     Levenberg-Marquardt on the pixel reprojection error (``_polish_pose``).
 
     Returns
@@ -912,10 +914,7 @@ def resect_calibrated(points3d, points2d, intrinsics: Intrinsics, refine: bool =
         raise DegenerateConfiguration("3D points are collinear")
     K = intrinsics.K
     rays = hom(points2d) @ np.linalg.inv(K).T
-    R, t = _ppnp(rays, points3d)
-
-    if refine:
-        R, t = _polish_pose(points3d, points2d, K, R, t)
+    R, t = _polish_pose(points3d, points2d, K, *_ppnp(rays, points3d))
     return R, -R.T @ t
 
 
@@ -941,53 +940,32 @@ def _pose_residual(points3d, points2d, K, R, t, jacobian=False):
 
 
 def _polish_pose(points3d, points2d, K, R, t, max_iterations=100, tol=1e-8):
-    """Levenberg-Marquardt on the pixel reprojection error of a pose.
+    """Levenberg-Marquardt (``lm.minimize``) on the pixel reprojection error
+    of a pose, with the analytic Jacobian of ``_pose_residual``.
 
-    Analytic Jacobian, Marquardt's diagonal damping scaled by 10 on a rejected
-    step and by 1/10 on an accepted one (Madsen, Nielsen & Tingleff 2004,
-    section 3.2).  Stops when an accepted step lowers the cost, both actually
-    and as the linear model predicts, or moves the parameters, by at most
-    ``tol`` relative: the tests and tolerances of MINPACK's LM.
     Only cost-lowering steps are taken, so the pose returned is never worse
     than the one given.
     """
-    r, J = _pose_residual(points3d, points2d, K, R, t, jacobian=True)
-    cost = 0.5 * float(r @ r)
-    if not np.isfinite(cost) or cost == 0.0:
-        return R, t
-    omega = np.zeros(3)  # the rotation vectors taken, summed
-    lam = 1e-3
-    for _ in range(max_iterations):
-        H = J.T @ J
-        g = J.T @ r
-        while True:
-            try:
-                step = np.linalg.solve(H + lam * np.diag(np.diag(H)), -g)
-            except np.linalg.LinAlgError:
-                step = None
-            if step is not None and np.all(np.isfinite(step)):
-                R_new = rotation_from_rotvec(step[:3]) @ R
-                t_new = t + step[3:]
-                r = _pose_residual(points3d, points2d, K, R_new, t_new)
-                cost_new = 0.5 * float(r @ r)
-                if cost_new < cost:
-                    break
-            lam *= 10.0
-            if lam > 1e16:
-                return R, t
-        lam /= 10.0
-        omega += step[:3]
-        actual = (cost - cost_new) / cost
-        predicted = (-(g @ step) - 0.5 * step @ H @ step) / cost
-        R, t, cost = R_new, t_new, cost_new
-        if (
-            cost == 0.0
-            or max(actual, predicted) <= tol
-            or np.linalg.norm(step) <= tol * (np.linalg.norm(np.hstack([omega, t])) + tol)
-        ):
-            break
-        r, J = _pose_residual(points3d, points2d, K, R, t, jacobian=True)
-    return R, t
+    pose = (R, t)
+
+    def linearize():
+        r, J = _pose_residual(points3d, points2d, K, *pose, jacobian=True)
+        return lm.dense_system(J, r)
+
+    def cost(step):
+        r = _pose_residual(points3d, points2d, K, *moved(step))
+        return float(r @ r)
+
+    def moved(step):
+        return rotation_from_rotvec(step[:3]) @ pose[0], pose[1] + step[3:]
+
+    def accept(step, cost_new):
+        nonlocal pose
+        pose = moved(step)
+        return cost_new
+
+    lm.minimize(cost(np.zeros(6)), linearize, lm.damped_solve, cost, accept, tol, max_iterations)
+    return pose
 
 
 def resect_projective_dlt(points3d, points2d) -> np.ndarray:

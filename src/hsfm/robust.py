@@ -421,7 +421,8 @@ def msac(
         sigma_star = robust_scale(e, best_sample)
     else:
         sigma_star = 0.0
-    gate = max(config.theta * sigma_star, 1e-12)
+    # floored relative to T: noise-free rounding residuals must pass the gate
+    gate = max(config.theta * sigma_star, 1e-6 * T)
     mask = np.abs(e) < gate
     if mask.sum() < sample_size:
         raise NoConsensus(

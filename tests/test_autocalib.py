@@ -204,6 +204,34 @@ def test_refine_fixed_point_near_truth():
     assert abs(g2 - true_f) / true_f < 1e-3
 
 
+def test_refine_matches_scipy_least_squares():
+    # criterion 1's fifty exact problems, refined from the grid's best cell
+    from scipy.optimize import least_squares
+
+    rng = np.random.default_rng(1000)
+    cfg = autocalib.AutocalConfig()
+    worst = 0.0
+    for trial in range(50):
+        scene = synthetic.generate("ring", 5 + trial % 6, 50, seed=2000 + trial)
+        model, _ = projectify(scene, rng)
+        _, canon, _, _ = autocalib.normalized_model_cameras(model, sizes_of(scene))
+        f1, f2, _, _ = autocalib.grid_search(canon, WEIGHTS, cfg)
+        _, refined = autocalib.refine(f1, f2, canon, WEIGHTS, cfg)
+
+        def residual(p):
+            K1 = np.array([[p[0], 0.0, p[2]], [0.0, p[0], p[3]], [0.0, 0.0, 1.0]])
+            K2 = np.array([[p[1], 0.0, p[4]], [0.0, p[1], p[5]], [0.0, 0.0, 1.0]])
+            H = autocalib.UpgradeCollineation(
+                K1=K1, r=autocalib.plane_at_infinity(canon[1], K1, K2)
+            ).H
+            Ks = autocalib._upgraded_intrinsics(canon[1:], H)
+            return np.concatenate([autocalib.plausibility_terms(K, WEIGHTS) for K in Ks])
+
+        oracle = least_squares(residual, [f1, f2, 0.0, 0.0, 0.0, 0.0], method="trf").x
+        worst = max(worst, *np.abs(np.subtract(refined, oracle[:2])) / oracle[:2])
+    assert worst < 1e-9
+
+
 def test_upgrade_end_to_end_recovers_focals_and_structure():
     rng = np.random.default_rng(10)
     for seed in (20, 21, 22):

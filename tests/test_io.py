@@ -276,6 +276,20 @@ def test_cli_rejects_removed_config_key(tmp_path, capsys):
     assert "--final-min-track-length" not in capsys.readouterr().out
 
 
+def test_cli_rejects_unknown_environment_variable(tmp_path, capsys, monkeypatch):
+    # an HSFM_<NAME> variable naming no parameter fails like a config file
+    # or flag naming one, instead of being ignored
+    scene_dir, out_dir = tmp_path / "scene", tmp_path / "out"
+    fileio.write_scene(synthetic.generate("ring", 4, 80, seed=6), scene_dir)
+    monkeypatch.setenv("HSFM_FINAL_MIN_TRACK_LENGTH", "2")
+    code = cli.main(["sam", "--input", str(scene_dir), "--out", str(out_dir)])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ParseError"
+    assert "HSFM_FINAL_MIN_TRACK_LENGTH" in err["message"]
+    assert not out_dir.exists()
+
+
 def test_cli_synth_sam_eval_round_trip(tmp_path, capsys):
     scene_dir = str(tmp_path / "scene")
     out_dir = str(tmp_path / "out")
@@ -320,8 +334,7 @@ def scipy_imports(*commands, code=""):
 
 
 def test_cli_match_loads_no_scipy(tmp_path):
-    # only autocalibrated sam's focal refinement uses scipy; a match process
-    # must not pay for importing it
+    # scipy is a test dependency only; no hsfm process may import it
     scene_dir = str(tmp_path / "scene")
     fileio.write_scene(synthetic.generate("ring", 4, 80, seed=6, noise_sigma=0.3), scene_dir)
     assert scipy_imports(["match", "--input", scene_dir]) == []
@@ -339,9 +352,7 @@ def test_cli_calibrated_sam_loads_no_scipy(tmp_path):
     assert loaded == []
 
 
-def test_cli_autocalibrated_sam_loads_scipy_only_for_least_squares(tmp_path):
-    # the focal refinement still imports scipy.optimize, which itself imports
-    # scipy.spatial; no other code may import a scipy module before or beyond it
+def test_cli_autocalibrated_sam_loads_no_scipy(tmp_path):
     scene_dir, out_dir = str(tmp_path / "scene"), str(tmp_path / "out")
     fileio.write_scene(synthetic.generate("ring", 6, 120, seed=31, noise_sigma=0.3), scene_dir)
     loaded = scipy_imports(
@@ -349,9 +360,23 @@ def test_cli_autocalibrated_sam_loads_scipy_only_for_least_squares(tmp_path):
         ["sam", "--input", scene_dir, "--out", out_dir, "--mode", "autocalibrated"],
     )
     assert os.path.isfile(os.path.join(out_dir, "model_0_cameras.txt"))
-    bare = scipy_imports(code="import scipy\n")
-    assert [m for m in loaded if m not in bare][0] == "scipy.optimize"
-    assert set(loaded) <= set(scipy_imports(code="from scipy.optimize import least_squares\n"))
+    assert loaded == []
+
+
+def test_cli_noise_free_scene_rejects_no_action(tmp_path):
+    # noise-free resection: the robust scale of the best sample is ~1e-13 px,
+    # so an absolute gate floor sat below the rounding residuals of the refit
+    # and image 3's resection lost its consensus set
+    scene_dir, out_dir = str(tmp_path / "scene"), str(tmp_path / "out")
+    fileio.write_scene(synthetic.generate("ring", 5, 200, seed=38), scene_dir)
+    assert cli.main(["match", "--input", scene_dir]) == 0
+    assert cli.main(
+        ["sam", "--input", scene_dir, "--out", out_dir, "--mode", "calibrated"]
+    ) == 0
+    with open(os.path.join(out_dir, "report.txt")) as fh:
+        report = fh.read()
+    assert "rejected" not in report
+    assert "ok cams=5" in report
 
 
 def test_cli_cluster_report(tmp_path, capsys):
