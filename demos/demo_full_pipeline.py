@@ -12,7 +12,7 @@ The same flow is available from the shell:
     hsfm eval --model /tmp/rec --truth /tmp/scene
 """
 
-from hsfm import engine, graph, synthetic
+from hsfm import engine, fileio, graph, synthetic
 
 scene = synthetic.generate(
     "ring", 10, 300, seed=5, noise_sigma=0.5, outlier_rate=0.02
@@ -52,7 +52,7 @@ for mode in (engine.CALIBRATED, engine.AUTOCALIBRATED):
         for img, info in images_calibrated.items()
     }
     result = engine.run(
-        images, scene.tracks, edges, engine.EngineConfig(mode=mode)
+        images, scene.tracks, edges, fileio.PipelineConfig(mode=mode)
     )
     model = result.models[0]
     cmp = synthetic.compare_to_truth(model, scene)

@@ -34,21 +34,17 @@ def _add_config_flags(parser):
 
 
 def _load_config(args) -> fileio.PipelineConfig:
+    """The config file's values, overridden by HSFM_<NAME> variables, in turn
+    overridden by flags; all three pass the same parse and domain check."""
     config = (
         fileio.read_config(args.config) if args.config else fileio.PipelineConfig()
     )
-    config = config.apply_env(os.environ)
-    overrides = []
-    for f in dataclasses.fields(fileio.PipelineConfig):
-        v = getattr(args, f.name, None)
-        if v is not None:
-            overrides.append(f"{f.name} = {v}")
-    if overrides:
-        parsed = fileio.PipelineConfig.parse("\n".join(overrides))
-        for f in dataclasses.fields(fileio.PipelineConfig):
-            if getattr(args, f.name, None) is not None:
-                setattr(config, f.name, getattr(parsed, f.name))
-    return config
+    flags = [
+        ("--" + f.name.replace("_", "-"), None, f.name, getattr(args, f.name))
+        for f in dataclasses.fields(fileio.PipelineConfig)
+        if getattr(args, f.name, None) is not None
+    ]
+    return config.apply_env(os.environ).override(flags)
 
 
 def _require_dir(path, what):
@@ -215,7 +211,7 @@ def cmd_sam(args):
     edges = _load_edges_or_verify(args, config, data)
     tracks = _tracks_from_edges(edges, config)
     try:
-        result = engine.run(images, tracks, edges, config.engine_config())
+        result = engine.run(images, tracks, edges, config)
     except engine.NoModel as exc:
         raise CliError(str(exc), code=1)
     os.makedirs(args.out, exist_ok=True)

@@ -168,7 +168,9 @@ class ClusteringState:
         n = D.shape[0]
         if n < 2:
             raise ValueError("need at least two items")
-        self.ell = max(int(ell), 1)
+        if ell < 1:
+            raise ValueError(f"ell must be >= 1, got {ell!r}")
+        self.ell = int(ell)
         ids = list(range(n)) if leaf_ids is None else list(leaf_ids)
         self.nodes = {k: DendrogramNode(members=(ids[k],)) for k in range(n)}
         self.active = set(range(n))

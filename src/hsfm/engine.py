@@ -9,7 +9,8 @@ fully autocalibrated (projective bootstrap plus Euclidean upgrade).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -18,8 +19,15 @@ from . import geometry as geo
 from . import robust
 from .tracks import TrackSet
 
+if TYPE_CHECKING:
+    from .fileio import PipelineConfig
+
 CALIBRATED = "calibrated"
 AUTOCALIBRATED = "autocalibrated"
+
+FOCAL_GUESS_FACTOR = 1.2    # times max(w, h): the focal a projective seed assumes
+MAX_CHEIRALITY_FAIL = 0.10  # share of a model's points allowed behind a camera
+MIN_STEREO_POINTS = 8       # fewest points a two-view seed may rest on
 
 STEREO = "stereo"
 RESECTION = "resection"
@@ -47,38 +55,6 @@ class ImageInfo:
     @property
     def diagonal(self) -> float:
         return float(np.hypot(self.width, self.height))
-
-
-@dataclass
-class EngineConfig:
-    mode: str = CALIBRATED
-    reproj_divisor: float = 1800.0            # threshold = diagonal / divisor
-    final_reproj_divisor: float = 2400.0
-    condition_limit: float = 1e4
-    min_track_length: int = 3
-    autocal_min_cameras: int = 4
-    fix_internals_after: int = 25
-    ell: int = 3
-    local_ba: bool = True
-    max_ba_iterations: int = 100
-    msac_max_iterations: int = 1000
-    bucket_divisor: float = 25.0
-    rng_seed: int = 0
-    focal_guess_factor: float = 1.2           # times max(w, h) for seeds
-    max_cheirality_fail: float = 0.10
-    min_stereo_points: int = 8
-    autocal: autocalib.AutocalConfig = field(default_factory=autocalib.AutocalConfig)
-
-    def __post_init__(self):
-        for name in ("reproj_divisor", "final_reproj_divisor", "condition_limit"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        # known skew and aspect ratio: the Euclidean tag needs enough cameras
-        if not autocalib.counting_feasible(self.autocal_min_cameras, 2, 0):
-            raise ValueError(
-                f"autocal_min_cameras={self.autocal_min_cameras} cannot satisfy "
-                "the autocalibration counting argument"
-            )
 
 
 @dataclass
@@ -143,7 +119,7 @@ def _center_or_nan(camera: geo.Camera) -> np.ndarray:
 
 
 class Engine:
-    def __init__(self, images, tracks, edges, config: EngineConfig):
+    def __init__(self, images, tracks, edges, config: PipelineConfig):
         self.images = images
         self.tracks = tracks
         self.config = config
@@ -315,7 +291,7 @@ class Engine:
 
     def _posterior_check(self, model: geo.Model, what: str):
         tps = model.triangulated()
-        if len(tps) < self.config.min_stereo_points:
+        if len(tps) < MIN_STEREO_POINTS:
             raise RejectedPair("aPosteriori", f"{what}: only {len(tps)} points")
         point, image, uv = geo.observations(tps, model.cameras)
         X = np.array([tp.position for tp in tps])[point]
@@ -331,7 +307,7 @@ class Engine:
                 "aPosteriori", f"{what}: mean residual {np.mean(errs):.2f} px"
             )
         behind = np.unique(point[~(depths > 0)]).size
-        if behind > self.config.max_cheirality_fail * len(tps):
+        if behind > MAX_CHEIRALITY_FAIL * len(tps):
             raise RejectedPair("aPosteriori", f"{what}: {behind} points behind")
 
     # -- actions -------------------------------------------------------------
@@ -350,9 +326,8 @@ class Engine:
         model = geo.Model(
             cameras={img_a: cam_a, img_b: cam_b}, tie_points=[], frame=frame
         )
-        self.sync_tie_points(model)
         self.intersect_pending(model)
-        if len(model.triangulated()) < self.config.min_stereo_points:
+        if len(model.triangulated()) < MIN_STEREO_POINTS:
             raise RejectedPair("aPosteriori", "too few intersected points")
         return model
 
@@ -365,7 +340,7 @@ class Engine:
         if Ka is None or Kb is None:
             raise RejectedPair("aPriori", "missing intrinsics")
         idx, x1, x2 = self._pair_tracks(img_a, img_b)
-        if len(idx) < self.config.min_stereo_points:
+        if len(idx) < MIN_STEREO_POINTS:
             raise RejectedPair("aPriori", "too few common tracks")
         E = geo.essential_from_fundamental(edge.matrix, Ka.K, Kb.K)
         # re-score the correspondences against the essential geometry
@@ -376,7 +351,7 @@ class Engine:
             0.5 * (self.reproj_threshold(img_a) + self.reproj_threshold(img_b)),
         )
         keep = sampson < gate
-        if keep.sum() < self.config.min_stereo_points:
+        if keep.sum() < MIN_STEREO_POINTS:
             raise RejectedPair("aPosteriori", "essential geometry rejected the tracks")
         x1n = (geo.hom(x1[keep]) @ np.linalg.inv(Ka.K).T)[:, :2]
         x2n = (geo.hom(x2[keep]) @ np.linalg.inv(Kb.K).T)[:, :2]
@@ -397,7 +372,7 @@ class Engine:
         if edge is None or edge.model_class != robust.FUNDAMENTAL:
             raise RejectedPair("aPriori", "pair not supported by a fundamental matrix")
         idx, x1, x2 = self._pair_tracks(img_a, img_b)
-        if len(idx) < self.config.min_stereo_points:
+        if len(idx) < MIN_STEREO_POINTS:
             raise RejectedPair("aPriori", "too few common tracks")
         try:
             P1, P2 = geo.canonical_pair(edge.matrix)
@@ -407,7 +382,7 @@ class Engine:
         # quasi-Euclidean frame from diagonal-based focal guesses
         def guess_K(img):
             info = self.images[img]
-            f = self.config.focal_guess_factor * max(info.width, info.height)
+            f = FOCAL_GUESS_FACTOR * max(info.width, info.height)
             return np.array(
                 [[f, 0.0, info.width / 2.0], [0.0, f, info.height / 2.0], [0.0, 0.0, 1.0]]
             )
@@ -437,7 +412,7 @@ class Engine:
             )
             if best is None or agree > best[0]:
                 best = (agree, cam_a, cam_b)
-        if best[0] < self.config.min_stereo_points:
+        if best[0] < MIN_STEREO_POINTS:
             raise RejectedPair("aPosteriori", "no side-consistent configuration")
         _, cam_a, cam_b = best
         model = self._seed_model(img_a, img_b, cam_a, cam_b, geo.PROJECTIVE)
@@ -492,7 +467,6 @@ class Engine:
                 raise RejectedPair("resectionFailed", str(exc))
         out = model.copy()
         out.cameras[img] = camera
-        self.sync_tie_points(out)
         self.intersect_pending(out)
         self.bundle_adjust(out, moved_ids=[img])
         self.intersect_pending(out)
@@ -604,7 +578,6 @@ class Engine:
         for tp in moved.tie_points:
             if tp.track_index not in seen:
                 merged.tie_points.append(tp)
-        self.sync_tie_points(merged)
         self.intersect_pending(merged)
         moved_ids = sorted(moving.cameras)
         self.bundle_adjust(merged, moved_ids=moved_ids)
@@ -621,9 +594,7 @@ class Engine:
         if self.config.mode != AUTOCALIBRATED or model.frame != geo.PROJECTIVE:
             return model
         try:
-            upgraded = autocalib.upgrade(
-                model, self.image_sizes(), self.config.autocal
-            )
+            upgraded = autocalib.upgrade(model, self.image_sizes())
         except (autocalib.AutocalError, geo.GeometryError):
             return model
         if len(model.cameras) >= self.config.autocal_min_cameras:
@@ -741,7 +712,7 @@ class Engine:
         self.intersect_pending(model, final=True)
 
 
-def run(images, tracks, edges, config: EngineConfig) -> EngineResult:
+def run(images, tracks, edges, config: PipelineConfig) -> EngineResult:
     """Reconstruct one or more models from verified tracks.
 
     Parameters
@@ -750,7 +721,8 @@ def run(images, tracks, edges, config: EngineConfig) -> EngineResult:
     tracks : TrackSet; only tracks of at least ``config.min_track_length``
         images are modelled, and tie-point track indices index this set.
     edges : verified EpipolarEdge list (two-view classes and matrices).
-    config : EngineConfig.
+    config : ``fileio.PipelineConfig``, the pipeline's one parameter table,
+        whose values are checked when it is built.
     """
     if config.mode == CALIBRATED:
         missing = [i for i, info in images.items() if info.intrinsics is None]

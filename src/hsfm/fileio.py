@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import engine
+from . import autocalib, engine
 from . import geometry as geo
 from .graph import EpipolarEdge, VerifyConfig
 from .tracks import TrackSet
@@ -21,7 +21,8 @@ from .tracks import TrackSet
 
 class ParseError(Exception):
     def __init__(self, path, line_no, message):
-        super().__init__(f"{path}:{line_no}: {message}")
+        where = path if line_no is None else f"{path}:{line_no}"
+        super().__init__(f"{where}: {message}")
         self.path = path
         self.line_no = line_no
 
@@ -48,9 +49,39 @@ def _fmt(x: float) -> str:
 # ---------------------------------------------------------------------------
 
 
+# parameter -> (test, what a value must be); a parameter not listed takes
+# any value of its type
+_DOMAINS = {
+    "mode": (
+        lambda v: v in (engine.CALIBRATED, engine.AUTOCALIBRATED),
+        f"{engine.CALIBRATED!r} or {engine.AUTOCALIBRATED!r}",
+    ),
+    **dict.fromkeys(
+        ("keypoints_per_image", "edge_connectivity", "msac_max_iterations",
+         "max_ba_iterations", "ell"),
+        (lambda v: v >= 1, ">= 1"),
+    ),
+    "min_track_length": (lambda v: v >= 2, ">= 2"),
+    **dict.fromkeys(
+        ("matching_ratio", "bucket_divisor", "gric_ratio", "reproj_divisor",
+         "condition_limit", "final_reproj_divisor"),
+        (lambda v: v > 0, "positive"),
+    ),
+    "survivor_fraction": (lambda v: 0 <= v <= 1, "in [0, 1]"),
+    # known skew and aspect ratio: the Euclidean tag needs enough cameras
+    "autocal_min_cameras": (
+        lambda v: autocalib.counting_feasible(v, 2, 0),
+        ">= 4 (the autocalibration counting argument)",
+    ),
+}
+
+_BOOLEANS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+
+
 @dataclass
 class PipelineConfig:
-    """Every settable pipeline parameter with its default.
+    """Every settable pipeline parameter with its default: the one table
+    that matching, clustering and the engine read, checked when built.
 
     Image-diagonal-relative values are stored as divisors (bucket size
     D/25, reprojection gates D/1800 and D/2400) and resolved per image.
@@ -81,6 +112,12 @@ class PipelineConfig:
     # final pass
     final_reproj_divisor: float = 2400.0
 
+    def __post_init__(self):
+        for name, (ok, rule) in _DOMAINS.items():
+            value = getattr(self, name)
+            if not ok(value):
+                raise ValueError(f"{name} must be {rule}, got {value!r}")
+
     def serialize(self) -> str:
         lines = []
         for f in dataclasses.fields(self):
@@ -94,9 +131,7 @@ class PipelineConfig:
 
     @classmethod
     def parse(cls, text: str, path="<config>") -> "PipelineConfig":
-        values = {}
-        types = {f.name: f.type for f in dataclasses.fields(cls)}
-        defaults = cls()
+        entries = []
         for no, raw in enumerate(text.splitlines(), 1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -104,33 +139,38 @@ class PipelineConfig:
             if "=" not in line:
                 raise ParseError(path, no, "expected 'key = value'")
             key, _, val = line.partition("=")
-            key = key.strip()
-            val = val.strip()
-            if key not in types:
+            entries.append((path, no, key.strip(), val.strip()))
+        return cls().override(entries)
+
+    def override(self, entries) -> "PipelineConfig":
+        """A copy with ``(path, line_no, name, text)`` entries applied in
+        order; an unknown name or a bad value is a ParseError naming the
+        entry's source and the parameter."""
+        defaults = {f.name: f.default for f in dataclasses.fields(self)}
+        config = self
+        for path, no, key, text in entries:
+            if key not in defaults:
                 raise ParseError(path, no, f"unknown parameter {key!r}")
-            current = getattr(defaults, key)
             try:
-                if isinstance(current, bool):
-                    values[key] = val.lower() in ("true", "1", "yes")
-                elif isinstance(current, int):
-                    values[key] = int(val)
-                elif isinstance(current, float):
-                    values[key] = float(val)
+                if isinstance(defaults[key], bool):
+                    value = _BOOLEANS[text.lower()]
                 else:
-                    values[key] = val
-            except ValueError:
-                raise ParseError(path, no, f"bad value for {key}: {val!r}")
-        return cls(**values)
+                    value = type(defaults[key])(text)
+            except (KeyError, ValueError):
+                raise ParseError(path, no, f"bad value for {key}: {text!r}")
+            try:
+                config = dataclasses.replace(config, **{key: value})
+            except ValueError as exc:  # outside the domain __post_init__ checks
+                raise ParseError(path, no, str(exc))
+        return config
 
     def apply_env(self, environ) -> "PipelineConfig":
         """Override fields from HSFM_<NAME> variables; an unknown NAME is a ParseError."""
-        out = dataclasses.replace(self)
-        for key, value in environ.items():
-            if key.startswith("HSFM_"):
-                name = key[5:].lower()
-                parsed = PipelineConfig.parse(f"{name} = {value}", path=key)
-                setattr(out, name, getattr(parsed, name))
-        return out
+        return self.override(
+            (key, None, key[5:].lower(), value)
+            for key, value in environ.items()
+            if key.startswith("HSFM_")
+        )
 
     def verify_config(self, diagonal: float) -> VerifyConfig:
         return VerifyConfig(
@@ -142,13 +182,6 @@ class PipelineConfig:
             gric_ratio=self.gric_ratio,
             max_iterations=self.msac_max_iterations,
             rng_seed=self.rng_seed,
-        )
-
-    def engine_config(self) -> engine.EngineConfig:
-        """Every field the engine's config shares with this one, by name."""
-        shared = {f.name for f in dataclasses.fields(engine.EngineConfig)}
-        return engine.EngineConfig(
-            **{name: getattr(self, name) for name in shared & vars(self).keys()}
         )
 
 

@@ -142,7 +142,6 @@ class Camera:
 
 PENDING = "pending"
 TRIANGULATED = "triangulated"
-REJECTED = "rejected"
 
 
 @dataclass(eq=False)

@@ -210,7 +210,6 @@ class VerifyConfig:
     inlier_threshold: float          # pixels (image diagonal / 1800 upstream)
     bucket_size: float               # pixels (image diagonal / 25 upstream)
     ratio: float = 1.5               # second-to-first NN distance gate
-    n_angular_bins: int = 8
     min_matches: int = 10
     survivor_fraction: float = 0.2
     gric_ratio: float = 1.2
@@ -238,10 +237,12 @@ class PairRejection:
     detail: str = ""
 
 
-def match_descriptors_angular(
-    keypoints_a, keypoints_b, desc_a, desc_b, ratio=1.5, n_bins=8
-):
-    """Ratio-test matching restricted to equal dominant-angle clusters.
+N_ANGULAR_BINS = 8
+
+
+def match_descriptors_angular(keypoints_a, keypoints_b, desc_a, desc_b, ratio=1.5):
+    """Ratio-test matching restricted to ``N_ANGULAR_BINS`` equal
+    dominant-angle clusters.
 
     Keypoint rows are (x, y, scale, angle).  Matching each angular cluster
     separately trades a few border matches for a large constant-factor
@@ -253,6 +254,7 @@ def match_descriptors_angular(
     da = np.asarray(desc_a, float)
     db = np.asarray(desc_b, float)
     two_pi = 2.0 * np.pi
+    n_bins = N_ANGULAR_BINS
     bins_a = np.floor((ka[:, 3] % two_pi) / two_pi * n_bins).astype(int) % n_bins
     bins_b = np.floor((kb[:, 3] % two_pi) / two_pi * n_bins).astype(int) % n_bins
     raw = []
@@ -403,7 +405,6 @@ def narrow_phase_verify(
             descriptors_a,
             descriptors_b,
             ratio=config.ratio,
-            n_bins=config.n_angular_bins,
         )
     else:
         matches = np.asarray(candidate_matches, int).reshape(-1, 2)

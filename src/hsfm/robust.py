@@ -26,14 +26,16 @@ class AllInSample(RobustError):
     pass
 
 
+CONFIDENCE = 0.99  # that one all-inlier sample was drawn, for the adaptive stop
+THETA = 2.5        # refined inlier gate in units of the robust scale
+
+
 @dataclass
 class MsacConfig:
     inlier_threshold: float        # pixels
     bucket_size: float = 80.0      # pixels; image diagonal / 25 upstream
     max_iterations: int = 1000
     rng_seed: int = 0
-    confidence: float = 0.99
-    theta: float = 2.5             # inlier gate in units of the robust scale
 
     def __post_init__(self):
         if self.max_iterations < 1:
@@ -285,12 +287,12 @@ class _SampleStream:
         return np.vstack([samples[:i], [sample], self.draw(k - i - 1)])
 
 
-def _required_iterations(inlier_ratio, sample_size, confidence):
+def _required_iterations(inlier_ratio, sample_size):
     w = min(max(inlier_ratio, 1e-9), 1.0 - 1e-12)
     p_good = w**sample_size
     if p_good >= 1.0 - 1e-12:
         return 1
-    return int(np.ceil(np.log(1.0 - confidence) / np.log(1.0 - p_good)))
+    return int(np.ceil(np.log(1.0 - CONFIDENCE) / np.log(1.0 - p_good)))
 
 
 # most samples a stacked solver solves and scores at once; past 64 the
@@ -330,9 +332,9 @@ def msac(
     """M-estimator sample consensus with bucketed sampling.
 
     Hypotheses are scored by sum(min(e_i^2, T^2)); the iteration budget
-    shrinks adaptively with the best inlier ratio at the configured
-    confidence.  After the loop, the inlier set is refined with the robust
-    scale rule and the model re-estimated by least squares on it.
+    shrinks adaptively with the best inlier ratio at ``CONFIDENCE``.  After
+    the loop, the inlier set is refined with the robust scale rule and the
+    model re-estimated by least squares on it.
 
     With ``stacked``, samples are drawn, solved and scored in chunks and then
     walked in draw order, so the result and the iteration count are those of
@@ -408,7 +410,6 @@ def msac(
                     required = _required_iterations(
                         max(int(inliers[m]), sample_size) / n,
                         sample_size,
-                        config.confidence,
                     )
             if it >= min(required, config.max_iterations):
                 break
@@ -422,7 +423,7 @@ def msac(
     else:
         sigma_star = 0.0
     # floored relative to T: noise-free rounding residuals must pass the gate
-    gate = max(config.theta * sigma_star, 1e-6 * T)
+    gate = max(THETA * sigma_star, 1e-6 * T)
     mask = np.abs(e) < gate
     if mask.sum() < sample_size:
         raise NoConsensus(

@@ -300,20 +300,16 @@ class TruthComparison:
     n_points: int
 
 
-def _tie_point_truth_index(tp, scene, tracks):
+def _tie_point_truth_index(tp, scene):
     """The scene point a tie-point reconstructs: direct for the scene's own
     tracks, else the majority vote of its keypoints (a model read from disk
     carries its keypoints instead of a track index)."""
-    if tp.track_index is None:
-        members = getattr(tp, "observed_keypoints", None) or {}
-    elif tracks is scene.tracks:
+    if tp.track_index is not None:
         if tp.track_index < len(scene.track_point_ids):
             return scene.track_point_ids[tp.track_index]
         return None
-    else:
-        members = tracks[tp.track_index].members
     votes = {}
-    for img, kp in members.items():
+    for img, kp in (getattr(tp, "observed_keypoints", None) or {}).items():
         mapping = scene.kp_to_point.get(img)
         if mapping is not None and kp < len(mapping):
             p = int(mapping[kp])
@@ -323,19 +319,17 @@ def _tie_point_truth_index(tp, scene, tracks):
     return max(votes, key=lambda p: (votes[p], -p))
 
 
-def compare_to_truth(model, scene: SyntheticScene, tracks: TrackSet = None) -> TruthComparison:
+def compare_to_truth(model, scene: SyntheticScene) -> TruthComparison:
     """Align a reconstructed model onto the generating scene and score it.
 
     The best-fit similarity over the shared 3D points plays the role of a
     control-point registration; the RMS residual of that registration is the
-    headline accuracy number.
+    headline accuracy number.  Tie-point track indices index ``scene.tracks``.
     """
-    if tracks is None:
-        tracks = scene.tracks
     est = []
     true = []
     for tp in model.triangulated():
-        p = _tie_point_truth_index(tp, scene, tracks)
+        p = _tie_point_truth_index(tp, scene)
         if p is None:
             continue
         est.append(tp.position)

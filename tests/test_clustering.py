@@ -233,3 +233,10 @@ def test_ba_cost_accounting_balanced_vs_chain():
     cost_balanced = sum(len(n.members) ** 4 for n in balanced.internal_nodes())
     chain = sum(i**4 for i in range(2, 17))
     assert cost_balanced <= 0.35 * chain
+
+
+@pytest.mark.parametrize("ell", [0, -2])
+def test_clustering_rejects_window_below_one(ell):
+    # an empty balancing window used to be clamped to simple linkage silently
+    with pytest.raises(ValueError, match="ell"):
+        ClusteringState(line_distances(), ell=ell)

@@ -43,7 +43,7 @@ def verified_edges(scene, seed=0):
 def run_scene(scene, mode=engine.CALIBRATED, seed=0, **cfg_kw):
     images = scene_inputs(scene, calibrated=(mode == engine.CALIBRATED))
     edges = verified_edges(scene, seed=seed)
-    config = engine.EngineConfig(mode=mode, rng_seed=seed, **cfg_kw)
+    config = fileio.PipelineConfig(mode=mode, rng_seed=seed, **cfg_kw)
     return engine.run(images, scene.tracks, edges, config)
 
 
@@ -93,7 +93,7 @@ def test_planar_scene_yields_no_model():
     edges = verified_edges(scene)
     assert all(e.model_class == robust.HOMOGRAPHY for e in edges)
     with pytest.raises(engine.NoModel):
-        engine.run(images, scene.tracks, edges, engine.EngineConfig())
+        engine.run(images, scene.tracks, edges, fileio.PipelineConfig())
 
 
 def test_two_disjoint_scenes_give_two_models():
@@ -117,7 +117,7 @@ def test_two_disjoint_scenes_give_two_models():
     for e in verified_edges(b):
         e.pair = (e.pair[0] + offset, e.pair[1] + offset)
         edges.append(e)
-    result = engine.run(images, TrackSet(tracks), edges, engine.EngineConfig())
+    result = engine.run(images, TrackSet(tracks), edges, fileio.PipelineConfig())
     assert len(result.models) == 2
     sizes = sorted(len(m.cameras) for m in result.models)
     assert sizes == [4, 4]
@@ -174,7 +174,7 @@ def test_no_output_point_seen_by_fewer_than_min_track_length_images():
         scene.keypoints[img] = np.vstack([scene.keypoints[img], [*uv, 1.0, 0.0]])
     assert np.linalg.norm(uv - scene.observations[j][p]) > 400.0
     tracks = TrackSet([*scene.tracks, Track(planted)])
-    config = engine.EngineConfig()
+    config = fileio.PipelineConfig()
     result = engine.run(scene_inputs(scene), tracks, verified_edges(scene), config)
     assert {i, j} <= set(result.models[0].cameras)
     for model in result.models:
@@ -233,7 +233,7 @@ def test_autocalibrated_small_model_stays_projective_until_threshold():
     scene = synthetic.generate("ring", 6, 250, seed=41)
     images = scene_inputs(scene, calibrated=False)
     edges = verified_edges(scene)
-    config = engine.EngineConfig(mode=engine.AUTOCALIBRATED)
+    config = fileio.PipelineConfig(mode=engine.AUTOCALIBRATED)
     eng = engine.Engine(images, scene.tracks, edges, config)
     ids = sorted(scene.cameras)[:2]
     model = eng.stereo_model_projective(ids[0], ids[1])
@@ -245,7 +245,7 @@ def test_calibrated_mode_upgrade_is_noop():
     scene = synthetic.generate("ring", 4, 150, seed=42)
     images = scene_inputs(scene)
     edges = verified_edges(scene)
-    eng = engine.Engine(images, scene.tracks, edges, engine.EngineConfig())
+    eng = engine.Engine(images, scene.tracks, edges, fileio.PipelineConfig())
     model = geo.Model(frame=geo.EUCLIDEAN)
     assert eng.maybe_upgrade(model) is model
 
@@ -258,7 +258,7 @@ def test_calibrated_mode_upgrade_is_noop():
 def test_resection_too_few_correspondences():
     scene = synthetic.generate("ring", 4, 150, seed=43)
     images = scene_inputs(scene)
-    eng = engine.Engine(images, scene.tracks, verified_edges(scene), engine.EngineConfig())
+    eng = engine.Engine(images, scene.tracks, verified_edges(scene), fileio.PipelineConfig())
     model = geo.Model(frame=geo.EUCLIDEAN, cameras={0: scene.cameras[0]})
     with pytest.raises(engine.RejectedPair) as err:
         eng.resection_intersection(model, 1)
@@ -268,7 +268,7 @@ def test_resection_too_few_correspondences():
 def test_resection_with_outlier_tracks():
     scene = synthetic.generate("ring", 5, 200, seed=44)
     images = scene_inputs(scene)
-    eng = engine.Engine(images, scene.tracks, verified_edges(scene), engine.EngineConfig())
+    eng = engine.Engine(images, scene.tracks, verified_edges(scene), fileio.PipelineConfig())
     ids = sorted(scene.cameras)
     base = eng.stereo_model_calibrated(ids[0], ids[1])
     # corrupt half the stored 3D positions; robust resection must survive
@@ -292,7 +292,7 @@ def test_resection_with_outlier_tracks():
 def test_merge_models_zero_common_rejected():
     scene = synthetic.generate("ring", 4, 150, seed=45)
     images = scene_inputs(scene)
-    eng = engine.Engine(images, scene.tracks, verified_edges(scene), engine.EngineConfig())
+    eng = engine.Engine(images, scene.tracks, verified_edges(scene), fileio.PipelineConfig())
     m1 = geo.Model(frame=geo.EUCLIDEAN, cameras={0: scene.cameras[0]})
     m2 = geo.Model(frame=geo.EUCLIDEAN, cameras={1: scene.cameras[1]})
     with pytest.raises(engine.RejectedPair) as err:
@@ -303,7 +303,7 @@ def test_merge_models_zero_common_rejected():
 def test_select_local_ba_scope_full_when_all_shared():
     scene = synthetic.generate("ring", 4, 120, seed=46)
     images = scene_inputs(scene)
-    eng = engine.Engine(images, scene.tracks, verified_edges(scene), engine.EngineConfig())
+    eng = engine.Engine(images, scene.tracks, verified_edges(scene), fileio.PipelineConfig())
     ids = sorted(scene.cameras)
     model = eng.stereo_model_calibrated(ids[0], ids[1])
     free, fixed, active = engine.select_local_ba_scope([ids[0]], model)
@@ -343,6 +343,6 @@ def test_low_parallax_pair_rejected():
     scene = synthetic.generate("low-parallax", 2, 150, seed=47)
     images = scene_inputs(scene)
     edges = verified_edges(scene)
-    eng = engine.Engine(images, scene.tracks, edges, engine.EngineConfig())
+    eng = engine.Engine(images, scene.tracks, edges, fileio.PipelineConfig())
     with pytest.raises((engine.RejectedPair, engine.NoModel)):
         model = eng.stereo_model_calibrated(0, 1)

@@ -36,29 +36,66 @@ def test_config_rejects_unknown_key():
         fileio.PipelineConfig.parse("no_such_thing = 3")
 
 
-def test_engine_config_forwards_every_shared_field():
-    shared = {f.name for f in dataclasses.fields(engine.EngineConfig)} & {
-        f.name for f in dataclasses.fields(fileio.PipelineConfig)
-    }
-    assert {"mode", "min_track_length", "final_reproj_divisor", "rng_seed"} <= shared
-    changed = {}
-    for name in shared:
-        default = getattr(fileio.PipelineConfig(), name)
-        if isinstance(default, bool):
-            changed[name] = not default
-        elif isinstance(default, str):
-            changed[name] = engine.AUTOCALIBRATED
-        else:
-            changed[name] = default + 1
-    assert all(v != getattr(engine.EngineConfig(), k) for k, v in changed.items())
-    forwarded = fileio.PipelineConfig(**changed).engine_config()
-    assert {name: getattr(forwarded, name) for name in shared} == changed
-
-
 def test_config_env_override():
     cfg = fileio.PipelineConfig().apply_env({"HSFM_ELL": "7", "HSFM_LOCAL_BA": "false"})
     assert cfg.ell == 7
     assert cfg.local_ba is False
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [("true", True), ("YES", True), ("1", True), ("False", False), ("no", False), ("0", False)],
+)
+def test_config_booleans_read_strictly(text, value):
+    assert fileio.PipelineConfig.parse(f"local_ba = {text}").local_ba is value
+
+
+def non_default_values():
+    """A valid text for every PipelineConfig field that differs from its default."""
+    out = {}
+    for f in dataclasses.fields(fileio.PipelineConfig):
+        if isinstance(f.default, bool):
+            out[f.name] = "false" if f.default else "true"
+        elif isinstance(f.default, str):
+            out[f.name] = engine.AUTOCALIBRATED
+        elif isinstance(f.default, int):
+            out[f.name] = str(f.default + 1)
+        else:
+            out[f.name] = repr(2.0 * f.default)
+    return out
+
+
+def test_load_config_same_from_file_environment_and_flags(tmp_path, monkeypatch):
+    for key in os.environ:
+        if key.startswith("HSFM_"):
+            monkeypatch.delenv(key)
+    values = non_default_values()
+    lines = "".join(f"{name} = {text}\n" for name, text in values.items())
+    expected = fileio.PipelineConfig.parse(lines)
+    default = fileio.PipelineConfig()
+    assert all(getattr(expected, name) != getattr(default, name) for name in values)
+    parser = cli.build_parser()
+    base = ["sam", "--input", str(tmp_path), "--out", str(tmp_path / "out")]
+
+    config = tmp_path / "config.txt"
+    config.write_text(lines)
+    from_file = cli._load_config(parser.parse_args(base + ["--config", str(config)]))
+    flags = [a for name, text in values.items() for a in ("--" + name.replace("_", "-"), text)]
+    from_flags = cli._load_config(parser.parse_args(base + flags))
+    with monkeypatch.context() as env:
+        for name, text in values.items():
+            env.setenv("HSFM_" + name.upper(), text)
+        from_env = cli._load_config(parser.parse_args(base))
+    assert from_file == expected
+    assert from_env == expected
+    assert from_flags == expected
+
+    # a flag beats the environment, and the environment beats the file
+    config.write_text("ell = 4\nrng_seed = 4\nmode = autocalibrated\n")
+    monkeypatch.setenv("HSFM_ELL", "5")
+    monkeypatch.setenv("HSFM_RNG_SEED", "5")
+    got = cli._load_config(parser.parse_args(base + ["--config", str(config), "--ell", "6"]))
+    assert (got.ell, got.rng_seed, got.mode) == (6, 5, engine.AUTOCALIBRATED)
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +324,49 @@ def test_cli_rejects_unknown_environment_variable(tmp_path, capsys, monkeypatch)
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ParseError"
     assert "HSFM_FINAL_MIN_TRACK_LENGTH" in err["message"]
+    assert not out_dir.exists()
+
+
+@pytest.fixture(scope="module")
+def small_scene(tmp_path_factory):
+    scene_dir = tmp_path_factory.mktemp("scene")
+    fileio.write_scene(synthetic.generate("ring", 4, 80, seed=6), scene_dir)
+    return scene_dir
+
+
+@pytest.mark.parametrize("source", ["file", "flag", "env"])
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("mode", "bogus"),
+        ("reproj_divisor", "-5"),
+        ("msac_max_iterations", "0"),
+        ("local_ba", "ture"),
+        ("autocal_min_cameras", "2"),
+        ("ell", "0"),
+    ],
+)
+def test_cli_names_every_out_of_domain_value(
+    small_scene, tmp_path, capsys, monkeypatch, name, value, source
+):
+    # a value outside its parameter's domain is one JSON error naming the
+    # parameter, never a traceback or a run with another meaning
+    out_dir = tmp_path / "out"
+    argv = ["sam", "--input", str(small_scene), "--out", str(out_dir)]
+    if source == "file":
+        config = tmp_path / "config.txt"
+        config.write_text(f"{name} = {value}\n")
+        argv += ["--config", str(config)]
+    elif source == "flag":
+        argv += ["--" + name.replace("_", "-"), value]
+    else:
+        monkeypatch.setenv("HSFM_" + name.upper(), value)
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    report = json.loads(err)
+    assert report["error"] == "ParseError"
+    assert name in report["message"]
     assert not out_dir.exists()
 
 
