@@ -470,6 +470,7 @@ class Engine:
         self.intersect_pending(out)
         self.bundle_adjust(out, moved_ids=[img])
         self.intersect_pending(out)
+        self._posterior_check(out, f"resection {img}")
         return out
 
     def merge_models(self, model_a: geo.Model, model_b: geo.Model) -> geo.Model:
@@ -582,6 +583,7 @@ class Engine:
         moved_ids = sorted(moving.cameras)
         self.bundle_adjust(merged, moved_ids=moved_ids)
         self.intersect_pending(merged)
+        self._posterior_check(merged, "merge")
         return merged
 
     def maybe_upgrade(self, model: geo.Model) -> geo.Model:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autocalib, engine
+from . import autocalib, engine, robust
 from . import geometry as geo
 from .graph import EpipolarEdge, VerifyConfig
 from .tracks import TrackSet
@@ -36,6 +36,25 @@ def _floats(path, line_no, fields, what):
     if not all(np.isfinite(values)):
         raise ParseError(path, line_no, f"non-finite value in {what}")
     return values
+
+
+def _ints(path, line_no, fields, what):
+    """``fields`` as integers; anything else is a ParseError naming the line."""
+    try:
+        return [int(v) for v in fields]
+    except ValueError:
+        raise ParseError(path, line_no, f"bad {what}")
+
+
+def _match_rows(path, lines, start, n):
+    """The ``n`` keypoint index pairs on ``lines[start:]``, as (n, 2)."""
+    rows = []
+    for r in range(start, start + n):
+        fields = lines[r].split() if r < len(lines) else []
+        if len(fields) != 2:
+            raise ParseError(path, r + 1, "bad or missing match row")
+        rows.append(_ints(path, r + 1, fields, "match row"))
+    return np.array(rows, int).reshape(-1, 2)
 
 
 def _fmt(x: float) -> str:
@@ -274,18 +293,10 @@ def read_matches(path):
         parts = lines[k].split()
         if parts[0] != "pair" or len(parts) != 4:
             raise ParseError(path, k + 1, "expected 'pair <i> <j> <n>'")
-        try:
-            i, j, n = int(parts[1]), int(parts[2]), int(parts[3])
-        except ValueError:
-            raise ParseError(path, k + 1, "bad pair header")
-        rows = []
-        for r in range(n):
-            try:
-                a, b = lines[k + 1 + r].split()
-                rows.append((int(a), int(b)))
-            except (IndexError, ValueError):
-                raise ParseError(path, k + 2 + r, "bad or missing match row")
-        matches[(i, j)] = np.array(rows, int).reshape(-1, 2)
+        i, j, n = _ints(path, k + 1, parts[1:], "pair header")
+        if n < 0:
+            raise ParseError(path, k + 1, "negative match count")
+        matches[(i, j)] = _match_rows(path, lines, k + 1, n)
         k += 1 + n
     return matches
 
@@ -315,22 +326,21 @@ def read_edges(path):
         parts = lines[k].split()
         if parts[0] != "pair" or len(parts) != 6:
             raise ParseError(path, k + 1, "expected verified pair header")
-        i, j = int(parts[1]), int(parts[2])
+        i, j, n = _ints(path, k + 1, [parts[1], parts[2], parts[4]], "pair header")
+        if n < 0:
+            raise ParseError(path, k + 1, "negative inlier count")
         model_class = parts[3]
-        n = int(parts[4])
+        if model_class not in (robust.HOMOGRAPHY, robust.FUNDAMENTAL):
+            raise ParseError(path, k + 1, f"unknown model class {model_class!r}")
         (sigma,) = _floats(path, k + 1, parts[5:], "robust scale")
-        mparts = lines[k + 1].split()
-        if mparts[0] != "matrix" or len(mparts) != 10:
+        mparts = lines[k + 1].split() if k + 1 < len(lines) else []
+        if mparts[:1] != ["matrix"] or len(mparts) != 10:
             raise ParseError(path, k + 2, "expected 'matrix <9 values>'")
         matrix = np.array(_floats(path, k + 2, mparts[1:], "matrix")).reshape(3, 3)
-        rows = []
-        for r in range(n):
-            a, b = lines[k + 2 + r].split()
-            rows.append((int(a), int(b)))
         edges.append(
             EpipolarEdge(
                 pair=(i, j),
-                matches=np.array(rows, int).reshape(-1, 2),
+                matches=_match_rows(path, lines, k + 2, n),
                 model_class=model_class,
                 matrix=matrix,
                 inlier_count=n,

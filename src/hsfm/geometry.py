@@ -454,6 +454,69 @@ def solve_homography_stack(pts1, pts2):
     return H, ok
 
 
+# adj(M)[i, j] is the 2x2 minor of M in rows j+1, j+2 and columns i+1, i+2
+# (mod 3); the cyclic order carries the cofactor's sign
+_ADJ_R1, _ADJ_C1 = np.meshgrid([1, 2, 0], [1, 2, 0])
+_ADJ_R2, _ADJ_C2 = np.meshgrid([2, 0, 1], [2, 0, 1])
+
+
+def _adjugate(M):
+    """Adjugates of a stack of 3x3 matrices (k, 3, 3), adj(M) M = det(M) I.
+
+    Each entry is a 2x2 cofactor, so a singular M has a finite adjugate and
+    no inverse is taken.
+    """
+    return (
+        M[:, _ADJ_R1, _ADJ_C1] * M[:, _ADJ_R2, _ADJ_C2]
+        - M[:, _ADJ_R1, _ADJ_C2] * M[:, _ADJ_R2, _ADJ_C1]
+    )
+
+
+def solve_homography_minimal_stack(pts1, pts2):
+    """Closed-form H with pts2 ~ H pts1 for a stack of k 4-point samples
+    (k, 4, 2), in pixels (Hartley & Zisserman, ch. 4).
+
+    In each image, M = [x1 x2 x3] (w = 1) and lambda = adj(M) x4, so that
+    B = M diag(lambda) maps e1, e2, e3 to x1, x2, x3 and (1, 1, 1) to x4;
+    by Cramer's rule lambda_i is det(M) with x4 in column i.  Then
+    H = B2 adj(B1) = M2 diag(lambda2 * mu1) adj(M1), where
+    adj(diag(lambda1)) = diag(mu1) = diag(l2 l3, l1 l3, l1 l2).
+
+    Returns (H (k, 3, 3), ok (k,)), H Frobenius-normalised with h22 >= 0 as
+    ``solve_homography_stack`` returns it.  ``ok`` is False, and H NaN, where
+    H is not finite or where, in either image, the smallest of the four
+    doubled triangle areas |lambda_1|, |lambda_2|, |lambda_3|, |det M| is
+    <= 1e-9 times the largest: three collinear points or two coincident
+    ones.  Area ratios do not change under translation or scaling.  Unlike
+    the DLT, which returns a rank-1 H when three points are collinear in one
+    image only, this rejects such a sample.
+    """
+    pts1 = np.asarray(pts1, float)
+    pts2 = np.asarray(pts2, float)
+    if pts1.shape[1:] != (4, 2) or pts2.shape != pts1.shape:
+        raise ValueError("minimal homography samples must be (k, 4, 2)")
+    k = len(pts1)
+    pts = np.concatenate([pts1, pts2])  # both images in one pass
+    M = np.ones((2 * k, 3, 3))
+    M[:, :2, :] = np.swapaxes(pts[:, :3], -1, -2)
+    adj = _adjugate(M)
+    u, v = pts[:, 3, None, 0], pts[:, 3, None, 1]
+    lam = adj[:, :, 0] * u + adj[:, :, 1] * v + adj[:, :, 2]
+    det = np.sum(adj[:, 0, :] * M[:, :, 0], axis=1)
+    area = np.abs(np.column_stack([lam, det]))
+    flat = area.min(axis=1) <= 1e-9 * area.max(axis=1)
+    l1, l2 = lam[:k], lam[k:]
+    mu1 = l1[:, [1, 0, 0]] * l1[:, [2, 2, 1]]
+    H = (M[k:] * (l2 * mu1)[:, None, :]) @ adj[:k]
+    ok = np.isfinite(H).all(axis=(1, 2)) & ~flat[:k] & ~flat[k:]
+    if not ok.all():
+        H[~ok] = np.nan  # NaN rows pass through the scaling without a warning
+    H /= _frobenius_norms(H)[:, None, None]
+    h22 = H[:, 2, 2]
+    H *= np.where(np.abs(h22) > 1e-12, np.sign(h22), 1.0)[:, None, None]
+    return H, ok
+
+
 def solve_homography(pts1, pts2) -> np.ndarray:
     """``solve_homography_stack`` for one correspondence set (n, 2).
 
@@ -471,23 +534,41 @@ def _homogeneous(points) -> np.ndarray:
     return points if points.shape[-1] == 3 else hom(points)
 
 
+def _transfer_residuals(M, x, target):
+    """(k, 2, N) pixel offsets of the transfers M (k, 3, 3) of the columns
+    x (3, N) from target (3, N), the homogeneous scale floored at 1e-14 in
+    magnitude."""
+    p = M @ x
+    w = p[:, 2]
+    small = np.abs(w) < 1e-14
+    if small.any():
+        w[small] = 1e-14
+    d = p[:, :2]
+    d /= w[:, None]
+    d -= target[:2]
+    return d
+
+
 def homography_transfer_error(H, pts1, pts2) -> np.ndarray:
     """Symmetric transfer distance sqrt(|Hx1-x2|^2 + |H^-1 x2 - x1|^2).
 
     H is (3, 3) or a stack (k, 3, 3), giving (N,) or (k, N) distances; the
-    points are (N, 2) pixels or their (N, 3) homogeneous rows.
+    points are (N, 2) pixels or their (N, 3) homogeneous rows, whose w must
+    be 1.  The backward transfer applies adj(H), which is proportional to
+    H^-1, so a singular H gives finite distances instead of raising.
     """
     H = np.asarray(H, float)
-    x1 = _homogeneous(pts1)
-    x2 = _homogeneous(pts2)
-    Hinv = np.linalg.inv(H)
-    f = x1 @ np.swapaxes(H, -1, -2)
-    b = x2 @ np.swapaxes(Hinv, -1, -2)
-    wf = np.where(np.abs(f[..., 2]) < 1e-14, 1e-14, f[..., 2])
-    wb = np.where(np.abs(b[..., 2]) < 1e-14, 1e-14, b[..., 2])
-    df = f[..., :2] / wf[..., None] - x2[:, :2]
-    db = b[..., :2] / wb[..., None] - x1[:, :2]
-    return np.sqrt(np.sum(df * df, axis=-1) + np.sum(db * db, axis=-1))
+    stack = H.reshape(-1, 3, 3)
+    # (3, N) columns: the stacked product makes one matrix product per H
+    x1 = np.ascontiguousarray(_homogeneous(pts1).T)
+    x2 = np.ascontiguousarray(_homogeneous(pts2).T)
+    df = _transfer_residuals(stack, x1, x2)
+    db = _transfer_residuals(_adjugate(stack), x2, x1)
+    df *= df
+    db *= db
+    d = df[:, 0] + df[:, 1]
+    d += db[:, 0] + db[:, 1]
+    return np.sqrt(d, out=d).reshape(H.shape[:-2] + d.shape[-1:])
 
 
 def sampson_homography(H, pts1, pts2) -> np.ndarray:

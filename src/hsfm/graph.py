@@ -310,7 +310,7 @@ def _fit_pair_models(x1, x2, config: VerifyConfig, seed):
     data = np.hstack([geo.hom(x1), geo.hom(x2)])
 
     def h_minimal(d, samples):
-        H, ok = geo.solve_homography_stack(d[samples, :2], d[samples, 3:5])
+        H, ok = geo.solve_homography_minimal_stack(d[samples, :2], d[samples, 3:5])
         return H[ok], np.flatnonzero(ok)
 
     def h_full(d, idx):

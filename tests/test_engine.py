@@ -1,7 +1,9 @@
+import os
+
 import numpy as np
 import pytest
 
-from hsfm import engine, fileio, geometry as geo, graph, robust, synthetic
+from hsfm import cli, engine, fileio, geometry as geo, graph, robust, synthetic
 from hsfm.tracks import Track, TrackSet
 
 
@@ -250,6 +252,21 @@ def test_calibrated_mode_upgrade_is_noop():
     assert eng.maybe_upgrade(model) is model
 
 
+def test_autocalibrated_grid_rejects_collapsed_resection(tmp_path):
+    # resecting image 1 onto [2,3,4,5] leaves 7 points; accepted, that model
+    # was merged on and the written model had no tie point at all
+    scene = synthetic.generate("grid", 9, 300, seed=3, noise_sigma=0.5, outlier_rate=0.02)
+    scene_dir, out_dir = str(tmp_path / "scene"), str(tmp_path / "out")
+    fileio.write_scene(scene, scene_dir)
+    assert cli.main(["match", "--input", scene_dir]) == 0
+    argv = ["sam", "--input", scene_dir, "--out", out_dir, "--mode", "autocalibrated"]
+    assert cli.main(argv) == 0
+    with open(os.path.join(out_dir, "report.txt")) as f:
+        assert "rejected (aPosteriori: resection 1: only 7 points)" in f.read()
+    tie_points = fileio.read_tie_point_tracks(os.path.join(out_dir, "model_0_tiepoints.txt"))
+    assert len(tie_points) >= engine.MIN_STEREO_POINTS
+
+
 # ---------------------------------------------------------------------------
 # resection / merge / local scope units
 # ---------------------------------------------------------------------------
@@ -281,12 +298,12 @@ def test_resection_with_outlier_tracks():
         if ids[2] in tp.track:
             points3d.append(tp.position)
             points2d.append(tp.track[ids[2]])
-    out = eng.resection_intersection(base, ids[2])
-    assert ids[2] in out.cameras
-    cam = out.cameras[ids[2]]
-    true_cam = scene.cameras[ids[2]]
-    # centre recovered in the seed's scale-free frame: compare direction-ish
-    assert len(out.cameras) == 3
+    # the bundle adjustment after resection cannot survive the corrupted
+    # positions and leaves no triangulated point; the posterior check names it
+    with pytest.raises(engine.RejectedPair) as err:
+        eng.resection_intersection(base, ids[2])
+    assert err.value.reason == "aPosteriori"
+    assert err.value.detail == f"resection {ids[2]}: only 0 points"
 
 
 def test_merge_models_zero_common_rejected():

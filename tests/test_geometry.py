@@ -376,7 +376,31 @@ def reference_fundamental_7pt(pts1, pts2):
     return out
 
 
+def reference_adjugate(M):
+    """adj(M) of one 3x3 matrix, entry by entry from its signed minors."""
+    A = np.empty((3, 3))
+    for i in range(3):
+        for j in range(3):
+            m = np.delete(np.delete(M, j, axis=0), i, axis=1)
+            A[i, j] = (-1) ** (i + j) * (m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
+    return A
+
+
+def reference_transfer(M, x, target):
+    p = M @ np.ascontiguousarray(geo.hom(x).T)
+    w = np.where(np.abs(p[2]) < 1e-14, 1e-14, p[2])
+    return p[:2] / w - target.T
+
+
 def reference_transfer_error(H, x1, x2):
+    """One H at a time, the backward transfer through adj(H)."""
+    df = reference_transfer(H, x1, x2)
+    db = reference_transfer(reference_adjugate(H), x2, x1)
+    return np.sqrt((df[0] ** 2 + df[1] ** 2) + (db[0] ** 2 + db[1] ** 2))
+
+
+def inverse_transfer_error(H, x1, x2):
+    """The symmetric transfer error through np.linalg.inv."""
     f = geo.hom(x1) @ H.T
     b = geo.hom(x2) @ np.linalg.inv(H).T
     wf = np.where(np.abs(f[:, 2]) < 1e-14, 1e-14, f[:, 2])
@@ -424,6 +448,87 @@ def test_homography_stack_matches_per_sample_reference():
     assert np.array_equal(
         geo.homography_transfer_error(H[ok], geo.hom(x1), geo.hom(x2)), errors
     )
+
+
+@pytest.mark.parametrize("planar", [True, False])
+def test_transfer_error_agrees_with_inverse_formula(planar):
+    rng = np.random.default_rng(21)
+    _, _, x1, x2 = exact_pair(rng, n=60, planar=planar)
+    s1, s2 = random_samples(rng, x1, x2, 64, 4)
+    H, ok = geo.solve_homography_minimal_stack(s1, s2)
+    errors = geo.homography_transfer_error(H[ok], x1, x2)
+    inverse = np.array([inverse_transfer_error(h, x1, x2) for h in H[ok]])
+    if planar:
+        assert np.allclose(errors, inverse, rtol=1e-9, atol=1e-9)
+    else:
+        # a sample off the plane can give an H with a nearly cancelling 2x2
+        # minor, whose cofactor keeps fewer digits than the LU inverse (up to
+        # 1e-7 relative over 20 such scenes), far below any inlier threshold
+        assert np.allclose(errors, inverse, rtol=1e-6, atol=1e-6)
+
+
+@pytest.mark.parametrize(
+    "H", [np.diag([1.0, 1.0, 0.0]), np.outer([1.0, 2.0, 0.5], [0.3, -1.0, 2.0])]
+)
+def test_transfer_error_finite_for_singular_homography(H):
+    rng = np.random.default_rng(23)
+    x1, x2 = rng.uniform(0, 1000, (2, 30, 2))
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.inv(H)
+    assert np.isfinite(geo.homography_transfer_error(H, x1, x2)).all()
+    assert np.isfinite(geo.homography_transfer_error(H[None], x1, x2)).all()
+
+
+def test_minimal_homography_matches_dlt():
+    rng = np.random.default_rng(24)
+    for planar, noise in [(True, 0.0), (False, 0.0), (False, 2.0)]:
+        _, _, x1, x2 = exact_pair(rng, n=60, planar=planar)
+        x2 = x2 + rng.normal(0, noise, x2.shape)
+        s1, s2 = random_samples(rng, x1, x2, 200, 4)
+        H, ok = geo.solve_homography_minimal_stack(s1, s2)
+        assert ok.all()
+        for i in range(len(s1)):
+            # both Frobenius-normalised with h22 >= 0
+            assert np.max(np.abs(H[i] - reference_homography(s1[i], s2[i]))) < 1e-10
+
+
+GOOD1 = np.array([[100.0, 200.0], [900.0, 150.0], [850.0, 700.0], [150.0, 650.0]])
+GOOD2 = np.array([[120.0, 180.0], [880.0, 210.0], [800.0, 690.0], [170.0, 600.0]])
+LINE = np.array([[100.0, 100.0], [400.0, 300.0], [700.0, 500.0]])
+
+
+def with_rows(points, rows, values):
+    out = points.copy()
+    out[rows] = values
+    return out
+
+
+FIRST_ON_LINE = with_rows(GOOD1, slice(0, 3), LINE)
+LAST_ON_LINE = with_rows(GOOD1, slice(1, 4), LINE)
+DEGENERATE_SAMPLES = {
+    "first three collinear": (FIRST_ON_LINE, FIRST_ON_LINE + 1.0),
+    "points 2-4 collinear": (LAST_ON_LINE, LAST_ON_LINE + 1.0),
+    "collinear in image 2 only": (GOOD1, with_rows(GOOD2, slice(0, 3), LINE)),
+    "collinear in image 1 only": (LAST_ON_LINE, GOOD2),
+    "coincident points": (with_rows(GOOD1, 3, GOOD1[1]), with_rows(GOOD2, 3, GOOD2[1])),
+    "NaN row": (with_rows(GOOD1, 2, np.nan), GOOD2),
+}
+
+
+@pytest.mark.parametrize("scale", [1.0, 3.0])
+@pytest.mark.parametrize("case", sorted(DEGENERATE_SAMPLES))
+def test_minimal_homography_rejects_degenerate_samples(case, scale):
+    p1, p2 = DEGENERATE_SAMPLES[case]
+    # the degenerate sample stacked with a good one
+    s1, s2 = scale * np.stack([p1, GOOD1]), scale * np.stack([p2, GOOD2])
+    H, ok = geo.solve_homography_minimal_stack(s1, s2)
+    assert ok.tolist() == [False, True]
+    assert np.isnan(H[0]).all() and np.isfinite(H[1]).all()
+    if case == "collinear in image 1 only":
+        # the DLT accepts this sample with a rank-1 H
+        H_dlt, ok_dlt = geo.solve_homography_stack(s1[:1], s2[:1])
+        s = np.linalg.svd(H_dlt[0], compute_uv=False)
+        assert ok_dlt[0] and s[1] < 1e-12 * s[0]
 
 
 def test_fundamental_minimal_stack_matches_per_sample_reference():

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -132,6 +133,15 @@ def test_truncated_matches_name_the_line(tmp_path):
     with pytest.raises(fileio.ParseError) as err:
         fileio.read_matches(path)
     assert err.value.line_no == 3
+
+
+def test_negative_match_count_names_the_line(tmp_path):
+    # a negative count once stepped the reader back onto its own header
+    path = tmp_path / "matches.txt"
+    path.write_text("pair 0 1 -1\n")
+    with pytest.raises(fileio.ParseError, match="negative") as err:
+        fileio.read_matches(path)
+    assert err.value.line_no == 1
 
 
 def test_intrinsics_round_trip(tmp_path):
@@ -368,6 +378,52 @@ def test_cli_names_every_out_of_domain_value(
     assert report["error"] == "ParseError"
     assert name in report["message"]
     assert not out_dir.exists()
+
+
+VERIFIED = [
+    "pair 0 1 fundamental 2 0.5",
+    "matrix 0 0 0 0 0 -1 0 1 0",
+    "0 0",
+    "1 1",
+]
+
+
+@pytest.mark.parametrize(
+    "line_no, text",
+    [
+        (1, "pair x 1 fundamental 2 0.5"),
+        (1, "pair 0 1.0 fundamental 2 0.5"),
+        (1, "pair 0 1 fundamental two 0.5"),
+        (1, "pair 0 1 affine 2 0.5"),
+        (1, "pair 0 1 fundamental -1 0.5"),
+        (2, None),  # no matrix line at the end of the file
+        (2, ""),
+        (3, "0"),
+        (3, "0 0 1"),
+        (4, "1 b"),
+        (4, None),  # fewer match rows than the inlier count
+    ],
+)
+def test_cli_names_the_line_of_a_malformed_verified_pair(
+    small_scene, tmp_path, capsys, line_no, text
+):
+    # verified_matches.txt is what match hands to sam: any malformed line is
+    # one JSON ParseError naming it, never a traceback
+    scene_dir = tmp_path / "scene"
+    shutil.copytree(small_scene, scene_dir)
+    lines = list(VERIFIED)
+    if text is None:
+        del lines[line_no - 1:]
+    else:
+        lines[line_no - 1] = text
+    (scene_dir / "verified_matches.txt").write_text("\n".join(lines) + "\n")
+    out_dir = tmp_path / "out"
+    assert cli.main(["sam", "--input", str(scene_dir), "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    report = json.loads(err)
+    assert report["error"] == "ParseError"
+    assert f"verified_matches.txt:{line_no}:" in report["message"]
 
 
 def test_cli_synth_sam_eval_round_trip(tmp_path, capsys):

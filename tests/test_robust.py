@@ -516,6 +516,30 @@ def test_stacked_msac_same_walk_as_per_sample(planar, sample_size, seed, stop):
     assert many.score == one.score and many.sigma_star == one.sigma_star
 
 
+def h_closed_form(d, samples):
+    H, ok = geo.solve_homography_minimal_stack(d[samples, :2], d[samples, 2:])
+    return H[ok], np.flatnonzero(ok)
+
+
+@pytest.mark.parametrize("seed", range(10))
+@pytest.mark.parametrize("planar", [True, False])
+def test_closed_form_homography_same_msac_walk_as_dlt(planar, seed):
+    # the narrow phase's minimal H solver against the DLT it replaced
+    x1, x2 = two_view_with_outliers(planar, seed)
+    data = np.hstack([x1, x2])
+    cfg = robust.MsacConfig(inlier_threshold=2.0, bucket_size=80.0, rng_seed=seed)
+    closed, dlt = (
+        robust.msac(data, solver, h_residual, cfg, 4, full_solver=h_one,
+                    positions=x1, stacked=True)
+        for solver in (h_closed_form, h_stacked)
+    )
+    assert (closed.iterations, closed.degenerate) == (dlt.iterations, dlt.degenerate)
+    assert np.array_equal(closed.best_sample, dlt.best_sample)
+    assert np.array_equal(closed.inlier_mask, dlt.inlier_mask)
+    assert len(closed.score_history) == len(dlt.score_history)
+    assert np.allclose(closed.score_history, dlt.score_history, rtol=1e-9, atol=0)
+
+
 def test_stacked_msac_propagates_programming_errors():
     rng = np.random.default_rng(2)
     data, _ = line_data(rng, outlier_rate=0.0)
