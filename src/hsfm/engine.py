@@ -664,13 +664,19 @@ class Engine:
             self.actions.append(act)
             self.lines.append(act.line())
 
-        finals = []
+        finals, dropped = [], []
         for cid in sorted(models):
             model = models[cid]
             self._final_pass(model)
-            finals.append(model)
+            points = len(model.triangulated())
+            if points >= MIN_STEREO_POINTS:
+                finals.append(model)
+                continue
+            cams = ",".join(map(str, sorted(model.cameras)))
+            dropped.append(f"dropped [{cams}] (final pass left {points} points)")
+        self.lines.extend(dropped)
         if not finals:
-            raise NoModel("no stereo seed succeeded")
+            raise NoModel("; ".join(dropped) or "no stereo seed succeeded")
         text = "\n".join(root.render() for root in state.roots())
         return EngineResult(
             models=finals,

@@ -472,7 +472,10 @@ def read_point_cloud(path):
     header_end = None
     for no, line in enumerate(lines[1:], 2):
         if line.startswith("element vertex"):
-            n = int(line.split()[2])
+            fields = line.split()[2:]
+            if len(fields) != 1 or _ints(path, no, fields, "vertex count")[0] < 0:
+                raise ParseError(path, no, "bad vertex count")
+            n = int(fields[0])
         if line == "end_header":
             header_end = no
             break
@@ -482,12 +485,11 @@ def read_point_cloud(path):
     lengths = np.zeros(n, int)
     for k in range(n):
         no = header_end + 1 + k
-        try:
-            vals = lines[no - 1].split()
-            pts[k] = [float(v) for v in vals[:3]]
-            lengths[k] = int(vals[3])
-        except (IndexError, ValueError):
+        vals = lines[no - 1].split() if no <= len(lines) else []
+        if len(vals) != 4:
             raise ParseError(path, no, "bad or missing vertex row")
+        pts[k] = _floats(path, no, vals[:3], "vertex row")
+        lengths[k] = _ints(path, no, vals[3:], "vertex row")[0]
     return pts, lengths
 
 
@@ -514,12 +516,16 @@ def read_tie_point_tracks(path):
             if not raw.strip():
                 continue
             parts = raw.split()
-            if parts[0] != "point":
+            if parts[0] != "point" or len(parts) < 2:
                 raise ParseError(path, no, "expected 'point <k> ...'")
+            _ints(path, no, parts[1:2], "point index")
             members = {}
             for item in parts[2:]:
-                img, _, kp = item.partition(":")
-                members[int(img)] = int(kp)
+                fields = item.split(":")
+                if len(fields) != 2:
+                    raise ParseError(path, no, f"bad img:kp item {item!r}")
+                img, kp = _ints(path, no, fields, f"img:kp item {item!r}")
+                members[img] = kp
             out.append(members)
     return out
 

@@ -409,6 +409,17 @@ def _rank_deficient(s, rank):
     return s[:, rank - 1] < 1e-9 * s[:, 0]
 
 
+def _right_svd(A):
+    """Singular values and right singular vectors ``(s, vt)`` of A (..., m, n).
+
+    The same bits as ``np.linalg.svd(A)`` without its dense U: a tall or
+    square A takes the thin SVD, whose vt is already n x n; a wide A keeps
+    the full one, because its thin vt would drop the null vectors.
+    """
+    _, s, vt = np.linalg.svd(A, full_matrices=A.shape[-2] < A.shape[-1])
+    return s, vt
+
+
 def solve_homography_stack(pts1, pts2):
     """Normalized DLT estimates of H with pts2 ~ H pts1 for a stack of k
     correspondence sets (k, n, 2), n >= 4.
@@ -440,7 +451,7 @@ def solve_homography_stack(pts1, pts2):
     A[:, 1::2, 7] = -v * y
     A[:, 1::2, 8] = -v
     rows = np.flatnonzero(np.isfinite(A).all(axis=(1, 2)))
-    _, s, vt = np.linalg.svd(A[rows])
+    s, vt = _right_svd(A[rows])
     full_rank = ~_rank_deficient(s, 8)
     rows, Hn = rows[full_rank], vt[full_rank, -1].reshape(-1, 3, 3)
     Hs = np.linalg.inv(T2[rows]) @ Hn @ T1[rows]
@@ -619,7 +630,7 @@ def solve_fundamental(pts1, pts2) -> np.ndarray:
     T1, p1 = normalize_points(pts1)
     T2, p2 = normalize_points(pts2)
     A = _fundamental_rows(p1, p2)
-    _, s, vt = np.linalg.svd(A)
+    s, vt = _right_svd(A)
     if s[7] < 1e-9 * s[0]:
         raise DegenerateConfiguration("fundamental design matrix rank < 8")
     F = vt[-1].reshape(3, 3)
@@ -678,7 +689,7 @@ def solve_fundamental_minimal_stack(pts1, pts2):
     T2, p2 = normalize_points(pts2)
     A = _fundamental_rows(p1, p2)
     owner = np.flatnonzero(np.isfinite(A).all(axis=(1, 2)))
-    _, s, vt = np.linalg.svd(A[owner])
+    s, vt = _right_svd(A[owner])
     keep = ~_rank_deficient(s, 7)
     owner, vt = owner[keep], vt[keep]
     F1 = vt[:, -1].reshape(-1, 1, 3, 3)
@@ -989,7 +1000,7 @@ def resect_calibrated(points3d, points2d, intrinsics: Intrinsics):
     points2d = np.asarray(points2d, float)
     if points3d.shape[0] < 3:
         raise ValueError("resection needs >= 3 points")
-    _, sv, _ = np.linalg.svd(points3d - points3d.mean(axis=0))
+    sv, _ = _right_svd(points3d - points3d.mean(axis=0))
     if sv[1] < 1e-9 * max(sv[0], 1e-300):
         raise DegenerateConfiguration("3D points are collinear")
     K = intrinsics.K
@@ -1063,7 +1074,7 @@ def resect_projective_dlt(points3d, points2d) -> np.ndarray:
     A[0::2, 8:12] = -p2[:, 0, None] * X
     A[1::2, 4:8] = X
     A[1::2, 8:12] = -p2[:, 1, None] * X
-    _, s, vt = np.linalg.svd(A)
+    s, vt = _right_svd(A)
     if s[10] < 1e-9 * s[0]:
         raise DegenerateConfiguration("resection design matrix nullspace dim > 1")
     Pn = vt[-1].reshape(3, 4)
@@ -1092,7 +1103,7 @@ def absolute_orientation_similarity(points_a, points_b):
     b_mean = B.mean(axis=0)
     Ac = A - a_mean
     Bc = B - b_mean
-    _, sv, _ = np.linalg.svd(Ac)
+    sv, _ = _right_svd(Ac)
     if sv[1] < 1e-9 * max(sv[0], 1e-300):
         raise DegenerateConfiguration("source points are collinear")
     cov = Bc.T @ Ac / A.shape[0]
@@ -1130,7 +1141,7 @@ def projectivity_dlt_3d(points_a, points_b) -> np.ndarray:
         # Y[3] * (H X)_i - Y[i] * (H X)_3 = 0
         rows[i::3, 4 * i : 4 * i + 4] = Y[:, 3, None] * X
         rows[i::3, 12:16] = -Y[:, i, None] * X
-    _, s, vt = np.linalg.svd(rows)
+    s, vt = _right_svd(rows)
     if s[14] < 1e-9 * s[0]:
         raise DegenerateConfiguration("3D projectivity nullspace dim > 1")
     Hn = vt[-1].reshape(4, 4)

@@ -170,15 +170,25 @@ class _SampleStream:
     when ``r == 0`` and is otherwise Lemire's method on PCG64's 32-bit words
     (low half, then high half, of each 64-bit output): value ``w (r+1) >>
     32``, the word rejected when ``w (r+1) mod 2^32 < (2^32 - (r+1)) mod
-    (r+1)``.  A chunk evaluates the draw at every word offset of a block and
-    walks the chain of offsets; a sample that may meet a rejection (about
-    ``(r+1) / 2^32`` per word) is drawn one word at a time instead.
+    (r+1)``.  A block of samples evaluates the draw at every word offset of
+    its words and walks the chain of offsets; a sample that may meet a
+    rejection (about ``(r+1) / 2^32`` per word) is drawn one word at a time
+    instead.
+
+    ``draw(k)`` serves samples from a buffer, so a block is not a solve
+    chunk: a refill draws twice the previous block, at least ``MAX_CHUNK``
+    and at most the ``limit`` samples the fit may still walk (its
+    ``max_iterations``).  With the buffer empty, ``draw(1)`` is one
+    ``_draw_exact``, which is cheaper for a single sample than a block.
     """
 
-    def __init__(self, seed, n, sample_size, buckets):
+    def __init__(self, seed, n, sample_size, buckets, limit=None):
         self._bitgen = np.random.PCG64(seed)
         self._words = np.empty(0, np.uint64)
         self._pos = 0
+        self._ready = np.empty((0, sample_size), np.intp)  # drawn, not yet served
+        self._block = 0
+        self._left = np.inf if limit is None else limit  # samples still to draw
         self.size = sample_size
         self.bucketed = buckets is not None and len(buckets) >= sample_size
         self.pop = len(buckets) if self.bucketed else n
@@ -233,15 +243,28 @@ class _SampleStream:
 
     def draw(self, k):
         """The next ``k`` samples, (k, sample_size)."""
+        ready = len(self._ready)
+        if k == 1 and not ready:
+            self._words = self._words[self._pos:]
+            sample, self._pos = self._draw_exact(0)
+            self._left -= 1
+            return np.array([sample], np.intp)
+        if ready < k:
+            self._block = max(2 * self._block, MAX_CHUNK)
+            size = int(max(k - ready, min(self._block, self._left)))
+            self._ready = np.vstack([self._ready, self._fill(size)])
+            self._left -= size
+        samples, self._ready = self._ready[:k], self._ready[k:]
+        return samples
+
+    def _fill(self, k):
+        """The next ``k >= 1`` samples by the vector path."""
         s, pop, ranges = self.size, self.pop, self._ranges
         self._words = self._words[self._pos:]
         self._pos = 0
-        if k == 1:  # one word at a time is cheaper than the vector path here
-            sample, self._pos = self._draw_exact(0)
-            return np.array([sample], np.intp)
         f = len(ranges)
         per = f + s  # most words a sample reads without a rejection
-        offsets = max(k - 1, 0) * per + 1  # where the k samples can start
+        offsets = (k - 1) * per + 1  # where the k samples can start
         self._word(offsets + per)
         w = self._words
         # choice's draws at every offset o: row t reads word o + t
@@ -265,7 +288,7 @@ class _SampleStream:
         chain = [0] * k
         for i in range(1, k):
             chain[i] = chain[i - 1] + count[chain[i - 1]]
-        end = chain[-1] + count[chain[-1]] if k else 0
+        end = chain[-1] + count[chain[-1]]
         # the words of the chain's samples, and whether one may be rejected
         rows = chosen[:, chain].T
         rejected = ((m[:, chain] & 0xFFFFFFFF) < ranges[:, None] + 1).any(axis=0)
@@ -284,7 +307,8 @@ class _SampleStream:
             return samples
         i = hit[0]
         sample, self._pos = self._draw_exact(chain[i])
-        return np.vstack([samples[:i], [sample], self.draw(k - i - 1)])
+        rest = [self._fill(k - i - 1)] if k - i - 1 else []
+        return np.vstack([samples[:i], [sample], *rest])
 
 
 def _required_iterations(inlier_ratio, sample_size):
@@ -296,8 +320,59 @@ def _required_iterations(inlier_ratio, sample_size):
 
 
 # most samples a stacked solver solves and scores at once; past 64 the
-# (chunk, N) residual temporaries raise match's peak RSS for no speed
+# (chunk, N) residual temporaries raise match's peak RSS for no speed.  The
+# sampler's blocks are not chunks: they start at this size and double.
 MAX_CHUNK = 64
+
+
+class _Walk:
+    """MSAC's walk over hypotheses in draw order, one chunk at a time.
+
+    A model becomes the best when its score is strictly below every earlier
+    one (a NaN score never is), and the budget then becomes the
+    ``_required_iterations`` of its inlier ratio.  The walk stops after the
+    first sample at which the samples walked reach min(budget, cap).  Only
+    the models that beat every earlier one, found with ``np.fmin.accumulate``
+    (which skips NaN), are walked in Python.
+    """
+
+    def __init__(self, cap, sample_size, n, threshold):
+        self.cap, self.sample_size, self.n, self.threshold = cap, sample_size, n, threshold
+        self.required = cap
+        self.it = self.degenerate = 0
+        self.best_score = np.inf
+        self.best_model = self.best_sample = None
+        self.history = []
+
+    @property
+    def left(self):
+        """Samples the walk may still take."""
+        return min(self.required, self.cap) - self.it
+
+    def chunk(self, samples, models, owner, scores, errors):
+        """Walk the next samples (k, s): ``models[m]``, solved from
+        ``samples[owner[m]]`` (owner ascending), scored ``scores[m]`` on the
+        residuals ``errors[m]``."""
+        # self.it stays at the chunk's start until the end: a sample after
+        # the last improvement's is walked while its index is below self.left
+        earlier = np.fmin.accumulate(np.concatenate([[self.best_score], scores]))[:-1]
+        j = 0  # the sample of the last improvement walked
+        for m in np.flatnonzero(scores < earlier):
+            if owner[m] != j and owner[m] >= self.left:
+                break  # the walk stopped before this sample
+            j = owner[m]
+            self.best_score = float(scores[m])
+            self.best_model = models[m]
+            self.best_sample = samples[j]
+            self.history.append(self.best_score)
+            inliers = int(np.count_nonzero(np.abs(errors[m]) < self.threshold))
+            self.required = _required_iterations(
+                max(inliers, self.sample_size) / self.n, self.sample_size
+            )
+        walked = min(max(self.left, j + 1), len(samples))
+        bounds = np.searchsorted(owner, np.arange(walked + 1))
+        self.degenerate += int(np.count_nonzero(bounds[1:] == bounds[:-1]))
+        self.it += walked
 
 
 def _solve_one_by_one(data, samples, minimal_solver, residual_fn, n):
@@ -336,13 +411,15 @@ def msac(
     the loop, the inlier set is refined with the robust scale rule and the
     model re-estimated by least squares on it.
 
-    With ``stacked``, samples are drawn, solved and scored in chunks and then
-    walked in draw order, so the result and the iteration count are those of
-    drawing one sample at a time.  A chunk holds at most as many samples as
-    have been walked, ``MAX_CHUNK`` and the remaining budget; samples drawn
-    past the adaptive stop are discarded, which changes nothing because the
-    rng is local to the call.  Either way the samples are those of
-    ``_draw_sample`` called in a loop on ``default_rng(config.rng_seed)``.
+    With ``stacked``, samples are solved and scored in chunks and then walked
+    in draw order (``_Walk``), so the result and the iteration count are
+    those of drawing one sample at a time.  A chunk holds at most as many
+    samples as have been walked, ``MAX_CHUNK`` and the remaining budget.
+    Either way the samples are those of ``_draw_sample`` called in a loop on
+    ``default_rng(config.rng_seed)``; ``_SampleStream`` draws them in blocks
+    of up to the ``max_iterations`` still left, and samples drawn past the
+    adaptive stop are discarded, which changes nothing because the rng is
+    local to the call.
 
     Parameters
     ----------
@@ -369,7 +446,7 @@ def msac(
     buckets = (
         _bucket_indices(positions, config.bucket_size) if positions is not None else None
     )
-    stream = _SampleStream(config.rng_seed, n, sample_size, buckets)
+    stream = _SampleStream(config.rng_seed, n, sample_size, buckets, config.max_iterations)
     if stacked:
         def hypotheses(samples):
             models, owner = minimal_solver(data, samples)
@@ -384,35 +461,14 @@ def msac(
         def residuals(model):
             return np.asarray(residual_fn(data, model), float)
     T = config.inlier_threshold
-    best_score = np.inf
-    best_model = None
-    best_sample = None
-    history = []
-    required = config.max_iterations
-    it = degenerate = 0
-    while it < min(required, config.max_iterations):
-        budget = min(required, config.max_iterations) - it
-        size = min(max(it, 1), MAX_CHUNK, budget) if stacked else 1
+    walk = _Walk(config.max_iterations, sample_size, n, T)
+    while walk.left > 0:
+        size = min(max(walk.it, 1), MAX_CHUNK, walk.left) if stacked else 1
         samples = stream.draw(size)
         models, owner, errors = hypotheses(samples)
         scores = np.sum(np.minimum(errors**2, T**2), axis=1)
-        inliers = np.sum(np.abs(errors) < T, axis=1)
-        bounds = np.searchsorted(owner, np.arange(size + 1))
-        for j in range(size):
-            it += 1
-            degenerate += bounds[j] == bounds[j + 1]
-            for m in range(bounds[j], bounds[j + 1]):
-                if scores[m] < best_score:
-                    best_score = float(scores[m])
-                    best_model = models[m]
-                    best_sample = samples[j]
-                    history.append(best_score)
-                    required = _required_iterations(
-                        max(int(inliers[m]), sample_size) / n,
-                        sample_size,
-                    )
-            if it >= min(required, config.max_iterations):
-                break
+        walk.chunk(samples, models, owner, scores, errors)
+    best_model, best_sample = walk.best_model, walk.best_sample
     if best_model is None:
         raise NoConsensus("no hypothesis could be evaluated")
 
@@ -451,7 +507,7 @@ def msac(
         score=final_score,
         sigma_star=float(sigma_star),
         best_sample=np.sort(best_sample),
-        iterations=it,
-        degenerate=int(degenerate),
-        score_history=history,
+        iterations=walk.it,
+        degenerate=walk.degenerate,
+        score_history=walk.history,
     )

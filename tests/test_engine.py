@@ -267,6 +267,39 @@ def test_autocalibrated_grid_rejects_collapsed_resection(tmp_path):
     assert len(tie_points) >= engine.MIN_STEREO_POINTS
 
 
+def test_autocalibrated_grid_collapsed_final_model_is_no_model():
+    # in process, the accepted 9-camera model keeps no point through the
+    # final pass; it is named, not returned
+    scene = synthetic.generate("grid", 9, 300, seed=3, noise_sigma=0.5, outlier_rate=0.02)
+    with pytest.raises(engine.NoModel, match=r"dropped \[0,1,2,3,4,5,6,7,8\] \(final pass left 0 points\)"):
+        run_scene(scene, mode=engine.AUTOCALIBRATED)
+
+
+def test_collapsed_final_model_dropped_with_a_report_line(monkeypatch):
+    a = synthetic.generate("ring", 4, 120, seed=33)
+    b = synthetic.generate("ring", 4, 120, seed=34)
+    images = scene_inputs(a)
+    tracks, edges = list(a.tracks), verified_edges(a)
+    for img in sorted(b.cameras):
+        images[img + 100] = scene_inputs(b)[img]
+    tracks += [Track({img + 100: kp for img, kp in t.members.items()}) for t in b.tracks]
+    for e in verified_edges(b):
+        e.pair = (e.pair[0] + 100, e.pair[1] + 100)
+        edges.append(e)
+    final_pass = engine.Engine._final_pass
+
+    def collapse_second_ring(self, model):
+        final_pass(self, model)
+        if 100 in model.cameras:
+            model.tie_points = model.triangulated()[: engine.MIN_STEREO_POINTS - 1]
+
+    monkeypatch.setattr(engine.Engine, "_final_pass", collapse_second_ring)
+    result = engine.run(images, TrackSet(tracks), edges, fileio.PipelineConfig())
+    assert [sorted(m.cameras) for m in result.models] == [[0, 1, 2, 3]]
+    points = engine.MIN_STEREO_POINTS - 1
+    assert result.report_lines[-1] == f"dropped [100,101,102,103] (final pass left {points} points)"
+
+
 # ---------------------------------------------------------------------------
 # resection / merge / local scope units
 # ---------------------------------------------------------------------------

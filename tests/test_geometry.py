@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -549,6 +551,54 @@ def test_fundamental_minimal_stack_matches_per_sample_reference():
         assert np.array_equal(row, reference_sampson(f, x1, x2))
     with pytest.raises(geo.DegenerateConfiguration):
         geo.solve_fundamental_minimal(s1[9], s2[9])
+
+
+# ---------------------------------------------------------------------------
+# SVD without U
+# ---------------------------------------------------------------------------
+
+
+def svd_shapes():
+    """Tall and square (rows n ... 4n, then 800, 1600, 2400), wide (their
+    transposes up to 4n rows) and stacked shapes for n = 3, 9, 12, 16."""
+    for n in (3, 9, 12, 16):
+        yield from [(800, n), (1600, n), (2400, n)]
+        for m in range(n, 4 * n + 1):
+            yield from [(m, n), (3, m, n), (n, m), (2, n, m)]
+
+
+def test_right_svd_same_bits_as_full_svd():
+    rng = np.random.default_rng(0)
+    for shape in svd_shapes():
+        A = rng.normal(size=shape)
+        s, vt = geo._right_svd(A)
+        _, s_full, vt_full = np.linalg.svd(A)
+        assert np.array_equal(s, s_full) and np.array_equal(vt, vt_full), shape
+
+
+def peak_bytes(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "solver, dims",
+    [
+        (geo.solve_homography, (2, 2)),
+        (geo.solve_fundamental, (2, 2)),
+        (geo.resect_projective_dlt, (3, 2)),
+        (geo.projectivity_dlt_3d, (3, 3)),
+    ],
+)
+def test_least_squares_refits_allocate_no_dense_u(solver, dims):
+    # a full SVD of the H refit's 4000 x 9 design matrix allocates a 128 MB U
+    rng = np.random.default_rng(1)
+    a, b = (rng.uniform(0.0, 1000.0, (2000, d)) for d in dims)
+    assert peak_bytes(solver, a, b) < 4 * 2**20
 
 
 # ---------------------------------------------------------------------------

@@ -426,6 +426,55 @@ def test_cli_names_the_line_of_a_malformed_verified_pair(
     assert f"verified_matches.txt:{line_no}:" in report["message"]
 
 
+@pytest.fixture(scope="module")
+def written_model(tmp_path_factory):
+    """A truth scene directory and a model directory written from it."""
+    model, scene = small_model()
+    truth_dir, model_dir = tmp_path_factory.mktemp("truth"), tmp_path_factory.mktemp("model")
+    fileio.write_scene(scene, truth_dir)
+    fileio.write_model(model, model_dir, stem="model_0", tracks=scene.tracks)
+    return truth_dir, model_dir
+
+
+@pytest.mark.parametrize(
+    "name, line_no, text",
+    [
+        ("model_0_points.ply", 3, "element vertex abc"),
+        ("model_0_points.ply", 3, "element vertex"),
+        ("model_0_points.ply", 3, "element vertex -1"),
+        ("model_0_points.ply", 9, "1.0 2.0 3.0"),
+        ("model_0_points.ply", 9, "1.0 x 3.0 2"),
+        ("model_0_points.ply", 9, "1.0 2.0 nan 2"),
+        ("model_0_points.ply", 9, "1.0 2.0 3.0 two"),
+        ("model_0_points.ply", 9, None),  # fewer vertex rows than the count
+        ("model_0_tiepoints.txt", 1, "point 0 1:x"),
+        ("model_0_tiepoints.txt", 1, "point 0 1"),
+        ("model_0_tiepoints.txt", 1, "point 0 0:1:2"),
+        ("model_0_tiepoints.txt", 1, "point x 0:1"),
+        ("model_0_tiepoints.txt", 1, "point"),
+    ],
+)
+def test_cli_eval_names_the_line_of_a_malformed_model(
+    written_model, tmp_path, capsys, name, line_no, text
+):
+    truth_dir, model_dir = written_model
+    shutil.copytree(model_dir, tmp_path / "model")
+    path = tmp_path / "model" / name
+    lines = path.read_text().splitlines()
+    if text is None:
+        del lines[line_no - 1:]
+    else:
+        lines[line_no - 1] = text
+    path.write_text("\n".join(lines) + "\n")
+    argv = ["eval", "--model", str(tmp_path / "model"), "--truth", str(truth_dir)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    report = json.loads(err)
+    assert report["error"] == "ParseError"
+    assert f"{name}:{line_no}:" in report["message"]
+
+
 def test_cli_synth_sam_eval_round_trip(tmp_path, capsys):
     scene_dir = str(tmp_path / "scene")
     out_dir = str(tmp_path / "out")

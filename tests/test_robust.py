@@ -378,6 +378,22 @@ def test_sample_stream_single_draws_exact_through_a_rejected_word(seed, n, size,
     assert np.array_equal(got, reference_samples(seed, n, size, buckets, 512))
 
 
+@pytest.mark.parametrize("seed, n, size, buckets", REJECTED_WORD_LAYOUTS)
+def test_sample_stream_block_refill_exact_through_a_rejected_word(seed, n, size, buckets):
+    # msac's chunk schedule under a 1000-sample cap: two single draws, then
+    # blocks of 64, 128, 256 and 512 samples and a last one cut to the cap
+    stream = robust._SampleStream(seed, n, size, buckets, 1000)
+    chunks = [1, 1, 2, 4, 8, 16, 32, *[64] * 14, 40]
+    got = []
+    for k in chunks:
+        got.append(stream.draw(k))
+        assert len(stream._ready) <= stream._left + len(stream._ready) <= 1000 - len(got)
+        if len(got) == 2:
+            assert stream.rejected == 0  # the rejection falls in a block
+    assert stream.rejected > 0 and stream._left == len(stream._ready) == 0
+    assert np.array_equal(np.vstack(got), reference_samples(seed, n, size, buckets, 1000))
+
+
 @pytest.mark.parametrize("stacked", [False, True])
 def test_msac_solver_sees_the_draw_sample_stream(stacked):
     x1, x2 = two_view_with_outliers(planar=True, seed=32)
@@ -514,6 +530,91 @@ def test_stacked_msac_same_walk_as_per_sample(planar, sample_size, seed, stop):
     assert np.array_equal(many.model_params, one.model_params)
     assert np.array_equal(many.inlier_mask, one.inlier_mask)
     assert many.score == one.score and many.sigma_star == one.sigma_star
+
+
+# ---------------------------------------------------------------------------
+# the walk against the per-model loop it replaced
+# ---------------------------------------------------------------------------
+
+
+def nested_walk(walk, samples, models, owner, scores, errors):
+    """``robust._Walk.chunk`` as every model of every sample in a nested
+    Python loop, the way ``robust.msac`` walked before."""
+    size = len(samples)
+    inliers = np.sum(np.abs(errors) < walk.threshold, axis=1)
+    bounds = np.searchsorted(owner, np.arange(size + 1))
+    for j in range(size):
+        walk.it += 1
+        walk.degenerate += bounds[j] == bounds[j + 1]
+        for m in range(bounds[j], bounds[j + 1]):
+            if scores[m] < walk.best_score:
+                walk.best_score = float(scores[m])
+                walk.best_model = models[m]
+                walk.best_sample = samples[j]
+                walk.history.append(walk.best_score)
+                walk.required = robust._required_iterations(
+                    max(int(inliers[m]), walk.sample_size) / walk.n, walk.sample_size
+                )
+        if walk.it >= min(walk.required, walk.cap):
+            break
+
+
+def synthetic_chunk(rng, first, size, sample_size, n, levels, min_inliers):
+    """(samples, models, owner, scores, errors) of ``size`` samples from
+    sample number ``first`` on: 0-3 models a sample (none is a degenerate
+    sample, three the cubic's roots), integer scores below ``levels`` (ties)
+    or NaN, and at least ``min_inliers`` of ``n`` residuals under 1."""
+    samples = first * sample_size + np.arange(size * sample_size).reshape(size, sample_size)
+    owner = np.repeat(np.arange(size), rng.choice(4, size, p=[0.15, 0.45, 0.15, 0.25]))
+    k = len(owner)
+    models = 1000 * first + np.arange(k)
+    scores = rng.integers(0, levels, k).astype(float)
+    scores[rng.random(k) < 0.1] = np.nan
+    inliers = rng.integers(min_inliers, n + 1, k)
+    errors = np.where(np.arange(n) < inliers[:, None], 0.5, 3.0)
+    return samples, models, owner, scores, errors
+
+
+def walk_all(step, seed, sample_size, cap, levels, min_inliers, n=50):
+    """Drive ``step`` over synthetic chunks in msac's chunk schedule; returns
+    the walk and the chunk sizes."""
+    rng = np.random.default_rng(seed)
+    walk = robust._Walk(cap, sample_size, n, 1.0)
+    sizes = []
+    while walk.left > 0:
+        size = min(max(walk.it, 1), robust.MAX_CHUNK, walk.left)
+        chunk = synthetic_chunk(rng, sum(sizes), size, sample_size, n, levels, min_inliers)
+        sizes.append(size)
+        step(walk, *chunk)
+    return walk, sizes
+
+
+def test_walk_same_as_nested_loop():
+    stops = set()  # the ways the walks ended, and whether one met a degenerate sample
+    for seed in range(300):
+        args = (
+            seed,
+            (4, 7)[seed % 2],
+            (150, 1000)[seed % 3 == 0],
+            (3, 30, 3000)[seed % 5 % 3],
+            (5, 30, 45)[seed % 7 % 3],
+        )
+        fast, sizes = walk_all(robust._Walk.chunk, *args)
+        slow, slow_sizes = walk_all(nested_walk, *args)
+        assert sizes == slow_sizes
+        assert (fast.it, fast.degenerate) == (slow.it, slow.degenerate)
+        assert fast.history == slow.history
+        assert fast.best_model == slow.best_model
+        assert np.array_equal(fast.best_sample, slow.best_sample)
+        if fast.degenerate:
+            stops.add("degenerate")
+        if fast.it == fast.cap:
+            stops.add("cap")
+        elif fast.it == sum(sizes):
+            stops.add("chunk end")
+        else:
+            stops.add("mid-chunk")
+    assert stops == {"degenerate", "cap", "chunk end", "mid-chunk"}
 
 
 def h_closed_form(d, samples):
