@@ -472,10 +472,10 @@ def read_point_cloud(path):
     header_end = None
     for no, line in enumerate(lines[1:], 2):
         if line.startswith("element vertex"):
-            fields = line.split()[2:]
-            if len(fields) != 1 or _ints(path, no, fields, "vertex count")[0] < 0:
+            counts = _ints(path, no, line.split()[2:], "vertex count")
+            if len(counts) != 1 or counts[0] < 0:
                 raise ParseError(path, no, "bad vertex count")
-            n = int(fields[0])
+            n = counts[0]
         if line == "end_header":
             header_end = no
             break
