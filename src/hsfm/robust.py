@@ -140,12 +140,13 @@ def select_model(gric_h: float, gric_f: float, ratio: float = 1.2) -> str:
 
 
 def _bucket_indices(positions, bucket_size):
+    """The point indices of each occupied grid cell, cells in lexicographic
+    order, indices ascending within a cell."""
     positions = np.asarray(positions, float)
     cells = np.floor((positions - positions.min(axis=0)) / bucket_size).astype(int)
-    buckets = {}
-    for i, cell in enumerate(map(tuple, cells)):
-        buckets.setdefault(cell, []).append(i)
-    return [np.array(v, int) for _, v in sorted(buckets.items())]
+    order = np.lexsort(cells.T[::-1])  # stable, so indices stay ascending
+    cells = cells[order]
+    return np.split(order, np.flatnonzero((cells[1:] != cells[:-1]).any(axis=1)) + 1)
 
 
 def _draw_sample(rng, n, sample_size, buckets):

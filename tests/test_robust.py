@@ -282,6 +282,29 @@ def test_bucketed_sample_spatial_separation(seed, n):
     assert len({tuple(c) for c in cells}) == sample_size
 
 
+def bucket_indices_by_dict(positions, bucket_size):
+    """``robust._bucket_indices`` as a per-point loop into a dict of cells."""
+    cells = np.floor((positions - positions.min(axis=0)) / bucket_size).astype(int)
+    buckets = {}
+    for i, cell in enumerate(map(tuple, cells)):
+        buckets.setdefault(cell, []).append(i)
+    return [np.array(v, int) for _, v in sorted(buckets.items())]
+
+
+def test_bucket_indices_same_as_dict_loop():
+    rng = np.random.default_rng(0)
+    for t in range(300):
+        positions = rng.uniform(-500.0, 3000.0, (int(rng.integers(1, 900)), 2))
+        if t % 3 == 0:  # many points on one cell corner
+            positions = np.round(positions / 200.0) * 200.0
+        bucket = 1e-6 if t % 7 == 0 else float(rng.uniform(10.0, 400.0))
+        got = robust._bucket_indices(positions, bucket)
+        ref = bucket_indices_by_dict(positions, bucket)
+        assert len(got) == len(ref)
+        for a, b in zip(got, ref):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
 def draw_sample_with_choice(rng, n, sample_size, buckets):
     """The bucketed draw written with ``rng.choice`` for the in-bucket pick."""
     if buckets is not None and len(buckets) >= sample_size:
