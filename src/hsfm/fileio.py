@@ -411,9 +411,9 @@ def write_cameras(path, model: geo.Model):
 def read_cameras(path):
     with open(path) as f:
         lines = f.read().splitlines()
-    if not lines or not lines[0].startswith("frame "):
+    head = lines[0].split() if lines else []
+    if len(head) != 2 or head[0] != "frame" or head[1] not in (geo.EUCLIDEAN, geo.PROJECTIVE):
         raise ParseError(path, 1, "expected 'frame <euclidean|projective>'")
-    frame = lines[0].split()[1]
     cameras = {}
     for no, raw in enumerate(lines[1:], 2):
         if not raw.strip():
@@ -421,27 +421,24 @@ def read_cameras(path):
         parts = raw.split()
         if len(parts) not in (14, 20):
             raise ParseError(path, no, f"expected 14 or 20 fields, got {len(parts)}")
+        (img,) = _ints(path, no, parts[:1], "camera id")
+        kind = parts[1]
+        if (kind, len(parts)) not in ((geo.PROJECTIVE, 14), (geo.EUCLIDEAN, 20)):
+            raise ParseError(path, no, f"bad camera kind {kind!r} for {len(parts)} fields")
+        P = np.array(_floats(path, no, parts[2:14], "camera matrix")).reshape(3, 4)
+        if kind == geo.PROJECTIVE:
+            cameras[img] = geo.Camera(P=P, kind=geo.PROJECTIVE)
+            continue
+        fx, fy, skew, cx, cy, radial = _floats(path, no, parts[14:20], "intrinsics")
         try:
-            img = int(parts[0])
-            kind = parts[1]
-            P = np.array([float(v) for v in parts[2:14]]).reshape(3, 4)
-            if kind == geo.EUCLIDEAN:
-                fx, fy, skew, cx, cy, radial = (float(v) for v in parts[14:20])
-                K, R, C = geo.decompose_projection(P)
-                cam = geo.Camera(
-                    P=P,
-                    kind=geo.EUCLIDEAN,
-                    intrinsics=geo.Intrinsics(fx, fy, skew, cx, cy),
-                    R=R,
-                    C=C,
-                    radial=radial,
-                )
-            else:
-                cam = geo.Camera(P=P, kind=geo.PROJECTIVE)
+            K, R, C = geo.decompose_projection(P)
+            intrinsics = geo.Intrinsics(fx, fy, skew, cx, cy)
         except (ValueError, geo.GeometryError) as exc:
             raise ParseError(path, no, str(exc))
-        cameras[img] = cam
-    return geo.Model(cameras=cameras, tie_points=[], frame=frame)
+        cameras[img] = geo.Camera(
+            P=P, kind=geo.EUCLIDEAN, intrinsics=intrinsics, R=R, C=C, radial=radial
+        )
+    return geo.Model(cameras=cameras, tie_points=[], frame=head[1])
 
 
 def write_point_cloud(path, model: geo.Model):
@@ -596,26 +593,32 @@ def read_scene(directory):
     """Regenerate the synthetic scene recorded in a directory."""
     from . import synthetic
 
-    params = {}
     path = os.path.join(directory, SCENE_PARAMS)
+    fields = {}  # parameter -> (line number, values)
     with open(path) as f:
         for no, raw in enumerate(f.read().splitlines(), 1):
             if not raw.strip():
                 continue
             key, _, val = raw.partition("=")
-            params[key.strip()] = val.strip()
-    try:
-        return synthetic.generate(
-            params["kind"],
-            int(params["cameras"]),
-            int(params["points"]),
-            seed=int(params["seed"]),
-            noise_sigma=float(params["noise_sigma"]),
-            outlier_rate=float(params["outlier_rate"]),
-            image_size=(float(params["width"]), float(params["height"])),
-        )
-    except KeyError as exc:
-        raise ParseError(path, 0, f"missing scene parameter {exc}")
+            fields[key.strip()] = (no, val.split())
+
+    def value(key, parse=None):
+        if key not in fields:
+            raise ParseError(path, None, f"missing scene parameter {key!r}")
+        no, vals = fields[key]
+        if len(vals) != 1:
+            raise ParseError(path, no, f"expected one value for scene parameter {key!r}")
+        return vals[0] if parse is None else parse(path, no, vals, key)[0]
+
+    return synthetic.generate(
+        value("kind"),
+        value("cameras", _ints),
+        value("points", _ints),
+        seed=value("seed", _ints),
+        noise_sigma=value("noise_sigma", _floats),
+        outlier_rate=value("outlier_rate", _floats),
+        image_size=(value("width", _floats), value("height", _floats)),
+    )
 
 
 def read_image_directory(directory):

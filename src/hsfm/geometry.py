@@ -545,10 +545,10 @@ def _homogeneous(points) -> np.ndarray:
     return points if points.shape[-1] == 3 else hom(points)
 
 
-def _transfer_residuals(M, x, target):
-    """(k, 2, N) pixel offsets of the transfers M (k, 3, 3) of the columns
-    x (3, N) from target (3, N), the homogeneous scale floored at 1e-14 in
-    magnitude."""
+def _squared_transfer(M, x, target):
+    """(k, N) squared pixel distances of the transfers M (k, 3, 3) of the
+    columns x (3, N) from target (3, N), the homogeneous scale floored at
+    1e-14 in magnitude."""
     p = M @ x
     w = p[:, 2]
     small = np.abs(w) < 1e-14
@@ -557,7 +557,27 @@ def _transfer_residuals(M, x, target):
     d = p[:, :2]
     d /= w[:, None]
     d -= target[:2]
-    return d
+    d *= d
+    return d[:, 0] + d[:, 1]
+
+
+def _columns(points) -> np.ndarray:
+    """(N, 2) pixels or their (N, 3) homogeneous rows as contiguous (3, N)
+    columns: the stacked product then makes one matrix product per H."""
+    return np.ascontiguousarray(_homogeneous(points).T)
+
+
+def homography_forward_error(H, pts1, pts2) -> np.ndarray:
+    """Forward transfer distance |Hx1-x2|, shaped and floored as
+    ``homography_transfer_error``.
+
+    Its squares are the first term of the symmetric error's sum, rounded the
+    same way, so under monotone rounding it is never larger than the
+    symmetric error: a lower bound for MSAC's bail-out test.
+    """
+    H = np.asarray(H, float)
+    d = _squared_transfer(H.reshape(-1, 3, 3), _columns(pts1), _columns(pts2))
+    return np.sqrt(d, out=d).reshape(H.shape[:-2] + d.shape[-1:])
 
 
 def homography_transfer_error(H, pts1, pts2) -> np.ndarray:
@@ -570,15 +590,9 @@ def homography_transfer_error(H, pts1, pts2) -> np.ndarray:
     """
     H = np.asarray(H, float)
     stack = H.reshape(-1, 3, 3)
-    # (3, N) columns: the stacked product makes one matrix product per H
-    x1 = np.ascontiguousarray(_homogeneous(pts1).T)
-    x2 = np.ascontiguousarray(_homogeneous(pts2).T)
-    df = _transfer_residuals(stack, x1, x2)
-    db = _transfer_residuals(_adjugate(stack), x2, x1)
-    df *= df
-    db *= db
-    d = df[:, 0] + df[:, 1]
-    d += db[:, 0] + db[:, 1]
+    x1, x2 = _columns(pts1), _columns(pts2)
+    d = _squared_transfer(stack, x1, x2)
+    d += _squared_transfer(_adjugate(stack), x2, x1)
     return np.sqrt(d, out=d).reshape(H.shape[:-2] + d.shape[-1:])
 
 

@@ -319,6 +319,9 @@ def _fit_pair_models(x1, x2, config: VerifyConfig, seed):
     def h_residual(d, H):
         return geo.homography_transfer_error(H, d[:, :3], d[:, 3:])
 
+    def h_bound(d, H):
+        return geo.homography_forward_error(H, d[:, :3], d[:, 3:])
+
     def f_minimal(d, samples):
         return geo.solve_fundamental_minimal_stack(d[samples, :2], d[samples, 3:5])
 
@@ -332,7 +335,7 @@ def _fit_pair_models(x1, x2, config: VerifyConfig, seed):
     try:
         fit_h = robust.msac(
             data, h_minimal, h_residual, msac_cfg, sample_size=4,
-            full_solver=h_full, positions=x1, stacked=True,
+            full_solver=h_full, positions=x1, stacked=True, lower_bound=h_bound,
         )
     except (robust.RobustError, geo.GeometryError):
         pass

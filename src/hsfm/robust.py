@@ -176,20 +176,14 @@ class _SampleStream:
     rejection (about ``(r+1) / 2^32`` per word) is drawn one word at a time
     instead.
 
-    ``draw(k)`` serves samples from a buffer, so a block is not a solve
-    chunk: a refill draws twice the previous block, at least ``MAX_CHUNK``
-    and at most the ``limit`` samples the fit may still walk (its
-    ``max_iterations``).  With the buffer empty, ``draw(1)`` is one
-    ``_draw_exact``, which is cheaper for a single sample than a block.
+    ``draw(k)`` draws exactly ``k`` samples: one by ``_draw_exact``, which
+    is cheaper for a single sample than a block, more by one block.
     """
 
-    def __init__(self, seed, n, sample_size, buckets, limit=None):
+    def __init__(self, seed, n, sample_size, buckets):
         self._bitgen = np.random.PCG64(seed)
         self._words = np.empty(0, np.uint64)
         self._pos = 0
-        self._ready = np.empty((0, sample_size), np.intp)  # drawn, not yet served
-        self._block = 0
-        self._left = np.inf if limit is None else limit  # samples still to draw
         self.size = sample_size
         self.bucketed = buckets is not None and len(buckets) >= sample_size
         self.pop = len(buckets) if self.bucketed else n
@@ -244,19 +238,11 @@ class _SampleStream:
 
     def draw(self, k):
         """The next ``k`` samples, (k, sample_size)."""
-        ready = len(self._ready)
-        if k == 1 and not ready:
-            self._words = self._words[self._pos:]
-            sample, self._pos = self._draw_exact(0)
-            self._left -= 1
-            return np.array([sample], np.intp)
-        if ready < k:
-            self._block = max(2 * self._block, MAX_CHUNK)
-            size = int(max(k - ready, min(self._block, self._left)))
-            self._ready = np.vstack([self._ready, self._fill(size)])
-            self._left -= size
-        samples, self._ready = self._ready[:k], self._ready[k:]
-        return samples
+        if k > 1:
+            return self._fill(k)
+        self._words = self._words[self._pos:]
+        sample, self._pos = self._draw_exact(0)
+        return np.array([sample], np.intp)
 
     def _fill(self, k):
         """The next ``k >= 1`` samples by the vector path."""
@@ -320,9 +306,9 @@ def _required_iterations(inlier_ratio, sample_size):
     return int(np.ceil(np.log(1.0 - CONFIDENCE) / np.log(1.0 - p_good)))
 
 
-# most samples a stacked solver solves and scores at once; past 64 the
-# (chunk, N) residual temporaries raise match's peak RSS for no speed.  The
-# sampler's blocks are not chunks: they start at this size and double.
+# most samples a stacked fit scores and walks at once; past 64 the (chunk, N)
+# residual temporaries raise match's peak RSS for no speed.  Its sample
+# blocks, each drawn and solved in one pass, start at this size and double.
 MAX_CHUNK = 64
 
 
@@ -376,11 +362,11 @@ class _Walk:
         self.it += walked
 
 
-def _solve_one_by_one(data, samples, minimal_solver, residual_fn, n):
-    """The stacked contract over a per-sample solver: (models, owner,
-    residuals (k', N)); a sample whose solve raises a geometry or
-    linear-algebra error or returns None has no model."""
-    models, owner, errors = [], [], []
+def _solve_one_by_one(data, samples, minimal_solver):
+    """The stacked solver contract over a per-sample solver: (models,
+    owner); a sample whose solve raises a geometry or linear-algebra error or
+    returns None has no model."""
+    models, owner = [], []
     for j, sample in enumerate(samples):
         try:
             out = minimal_solver(data, sample)
@@ -391,8 +377,7 @@ def _solve_one_by_one(data, samples, minimal_solver, residual_fn, n):
         for model in out if isinstance(out, (list, tuple)) else [out]:
             models.append(model)
             owner.append(j)
-            errors.append(np.asarray(residual_fn(data, model), float))
-    return models, np.array(owner, int), np.array(errors).reshape(len(errors), n)
+    return models, np.array(owner, int)
 
 
 def msac(
@@ -404,6 +389,7 @@ def msac(
     full_solver=None,
     positions=None,
     stacked=False,
+    lower_bound=None,
 ) -> RobustFitResult:
     """M-estimator sample consensus with bucketed sampling.
 
@@ -412,21 +398,22 @@ def msac(
     the loop, the inlier set is refined with the robust scale rule and the
     model re-estimated by least squares on it.
 
-    With ``stacked``, samples are solved and scored in chunks and then walked
-    in draw order (``_Walk``), so the result and the iteration count are
-    those of drawing one sample at a time.  A chunk holds at most as many
-    samples as have been walked, ``MAX_CHUNK`` and the remaining budget.
-    Either way the samples are those of ``_draw_sample`` called in a loop on
-    ``default_rng(config.rng_seed)``; ``_SampleStream`` draws them in blocks
-    of up to the ``max_iterations`` still left, and samples drawn past the
-    adaptive stop are discarded, which changes nothing because the rng is
-    local to the call.
+    The samples are those of ``_draw_sample`` called in a loop on
+    ``default_rng(config.rng_seed)``, drawn by ``_SampleStream``.  With
+    ``stacked``, they are drawn and solved a block at a time: ``MAX_CHUNK``
+    samples, doubling (64, 128, 256, ...), never more than the walk may
+    still take.  A block is scored and walked in draw order (``_Walk``) in
+    chunks of at most as many samples as have been walked, ``MAX_CHUNK``,
+    the remaining budget and the rest of the block (1, 1, 2, 4, ... 64), so
+    the result and the iteration count are those of drawing one sample at a
+    time.  Samples drawn past the adaptive stop are discarded, which changes
+    nothing because the rng is local to the call.
 
     Parameters
     ----------
     data : opaque dataset handed to the solvers.
     minimal_solver, residual_fn : with ``stacked`` False (one sample per
-        chunk), ``minimal_solver(data, indices (s,))`` returns a model, a
+        block), ``minimal_solver(data, indices (s,))`` returns a model, a
         list of models or None and may raise GeometryError or LinAlgError
         on a degenerate sample; ``residual_fn(data, model)`` returns (N,)
         residuals in pixels.  With ``stacked`` True,
@@ -438,43 +425,82 @@ def msac(
         either mode; least-squares refit on the refined inliers (defaults to
         the minimal solver; required with ``stacked``).
     positions : (N, 2) keypoint positions used for bucketing, optional.
+    lower_bound : stacked only; ``lower_bound(data, models)`` returns (k', N)
+        residuals, each no larger than ``residual_fn``'s (a bail-out test,
+        Capel 2005).  A chunk's models are scored on it first, and
+        ``residual_fn`` is called only for those whose bound scores below the
+        best score at the chunk's start.  The others keep the bound's score,
+        which is no lower than the best score walked before them, so the walk
+        takes neither it nor the exact score it bounds: the result is that of
+        a fit without the bound.
     """
     if stacked and full_solver is None:
         raise ValueError("a stacked fit needs a per-sample full_solver")
+    if lower_bound is not None and not stacked:
+        raise ValueError("a lower_bound needs a stacked fit")
     n = len(data) if not hasattr(data, "shape") else data.shape[0]
     if n < sample_size:
         raise InsufficientData(f"{n} data for sample size {sample_size}")
     buckets = (
         _bucket_indices(positions, config.bucket_size) if positions is not None else None
     )
-    stream = _SampleStream(config.rng_seed, n, sample_size, buckets, config.max_iterations)
+    stream = _SampleStream(config.rng_seed, n, sample_size, buckets)
     if stacked:
-        def hypotheses(samples):
-            models, owner = minimal_solver(data, samples)
-            return models, owner, np.asarray(residual_fn(data, models), float)
+        def solve(samples):
+            return minimal_solver(data, samples)
 
-        def residuals(model):
-            return np.asarray(residual_fn(data, model[None]), float)[0]
+        def residuals(models):
+            return np.asarray(residual_fn(data, models), float)
+
+        def residual(model):
+            return residuals(model[None])[0]
     else:
-        def hypotheses(samples):
-            return _solve_one_by_one(data, samples, minimal_solver, residual_fn, n)
+        def solve(samples):
+            return _solve_one_by_one(data, samples, minimal_solver)
 
-        def residuals(model):
+        def residual(model):
             return np.asarray(residual_fn(data, model), float)
+
+        def residuals(models):
+            return np.array([residual(m) for m in models]).reshape(len(models), n)
     T = config.inlier_threshold
     walk = _Walk(config.max_iterations, sample_size, n, T)
+
+    def score(errors):
+        return np.sum(np.minimum(errors**2, T**2), axis=1)
+
+    def scored(models):
+        """(errors, scores) of a chunk's models, exact where they can win."""
+        if lower_bound is None:
+            errors = residuals(models)
+            return errors, score(errors)
+        errors = np.asarray(lower_bound(data, models), float)
+        scores = score(errors)
+        exact = np.flatnonzero(scores < walk.best_score)
+        if exact.size:
+            errors[exact] = residuals(models[exact])
+            scores[exact] = score(errors[exact])
+        return errors, scores
+
+    block, growth = (MAX_CHUNK, 2) if stacked else (1, 1)
     while walk.left > 0:
-        size = min(max(walk.it, 1), MAX_CHUNK, walk.left) if stacked else 1
-        samples = stream.draw(size)
-        models, owner, errors = hypotheses(samples)
-        scores = np.sum(np.minimum(errors**2, T**2), axis=1)
-        walk.chunk(samples, models, owner, scores, errors)
+        samples = stream.draw(min(block, walk.left))
+        block *= growth
+        models, owner = solve(samples)
+        start = 0
+        while start < len(samples) and walk.left > 0:
+            size = min(max(walk.it, 1), MAX_CHUNK, walk.left, len(samples) - start)
+            lo, hi = np.searchsorted(owner, [start, start + size])
+            errors, scores = scored(models[lo:hi])
+            walk.chunk(samples[start:start + size], models[lo:hi], owner[lo:hi] - start,
+                       scores, errors)
+            start += size
     best_model, best_sample = walk.best_model, walk.best_sample
     if best_model is None:
         raise NoConsensus("no hypothesis could be evaluated")
 
     # refined inliers via the robust scale of the best hypothesis
-    e = residuals(best_model)
+    e = residual(best_model)
     if best_sample.size < n:
         sigma_star = robust_scale(e, best_sample)
     else:
@@ -493,7 +519,7 @@ def msac(
         if isinstance(candidate, (list, tuple)):
             candidate = candidate[0]
         if candidate is not None:
-            e_new = residuals(candidate)
+            e_new = residual(candidate)
             model = candidate
             mask = np.abs(e_new) < gate
             e = e_new

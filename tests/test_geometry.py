@@ -481,6 +481,51 @@ def test_transfer_error_finite_for_singular_homography(H):
     assert np.isfinite(geo.homography_transfer_error(H[None], x1, x2)).all()
 
 
+def homography_stack(rng, kind, n):
+    """(H (k, 3, 3), x1 (n, 2), x2 (n, 2)) of one kind of hypothesis stack."""
+    _, _, x1, x2 = exact_pair(rng, n=n, planar=kind == "plane-induced")
+    x2 = x2 + rng.normal(0, 1.0, x2.shape)
+    if kind == "random":
+        return rng.normal(0, 1.0, (40, 3, 3)) * [[1, 1, 500]] * [[1], [1], [1e-3]], x1, x2
+    if kind == "plane-induced":
+        H, ok = geo.solve_homography_minimal_stack(*random_samples(rng, x1, x2, 40, 4))
+        return H[ok], x1, x2
+    if kind == "singular":
+        a, b = rng.normal(0, 1.0, (2, 20, 3))
+        u, v = rng.normal(0, 1.0, (2, 20, 3, 2))
+        rank1, rank2 = a[:, :, None] * b[:, None, :], u @ np.swapaxes(v, 1, 2)
+        return np.concatenate([rank1, rank2, [np.diag([1.0, 1.0, 0.0])]]), x1, x2
+    H, ok = geo.solve_homography_minimal_stack(*random_samples(rng, x1, x2, 40, 4))
+    H = H[ok]
+    H[::3, rng.integers(3), rng.integers(3)] = np.nan
+    x1[rng.integers(n)] = np.nan
+    return H, x1, x2
+
+
+@pytest.mark.parametrize("n", [4, 7, 8, 9, 127, 128, 129, 265, 1000])
+@pytest.mark.parametrize("kind", ["random", "plane-induced", "singular", "NaN rows"])
+def test_forward_error_score_never_above_transfer_score(kind, n):
+    # MSAC's bail-out test scores H on its forward transfer alone: that score
+    # must never exceed the symmetric error's, to the last bit
+    rng = np.random.default_rng(n)
+    H, x1, x2 = homography_stack(rng, kind, n)
+    bound = geo.homography_forward_error(H, x1, x2)
+    exact = geo.homography_transfer_error(H, x1, x2)
+    assert bound.shape == exact.shape == (len(H), n)
+    assert np.array_equal(np.isnan(bound), np.isnan(exact))
+    assert (bound[~np.isnan(exact)] <= exact[~np.isnan(exact)]).all()
+    for T in (1e-3, 2.0, 1e6):
+        score_bound = np.sum(np.minimum(bound**2, T**2), axis=1)
+        score_exact = np.sum(np.minimum(exact**2, T**2), axis=1)
+        assert np.array_equal(np.isnan(score_bound), np.isnan(score_exact))
+        finite = ~np.isnan(score_exact)
+        assert (score_bound[finite] <= score_exact[finite]).all()
+    # the forward half of the per-sample reference, one H at a time
+    for row, h in zip(bound[:5], H[:5]):
+        df = reference_transfer(h, x1, x2)
+        assert np.array_equal(row, np.sqrt(df[0] ** 2 + df[1] ** 2), equal_nan=True)
+
+
 def test_minimal_homography_matches_dlt():
     rng = np.random.default_rng(24)
     for planar, noise in [(True, 0.0), (False, 0.0), (False, 2.0)]:

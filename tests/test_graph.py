@@ -3,7 +3,7 @@ import pytest
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_flow
 
-from hsfm import fileio
+from hsfm import cli, fileio
 from hsfm import geometry as geo
 from hsfm import graph, robust
 from hsfm import synthetic
@@ -219,6 +219,32 @@ def test_narrow_phase_deterministic():
         runs.append(edge)
     assert np.array_equal(runs[0].matches, runs[1].matches)
     assert np.array_equal(runs[0].matrix, runs[1].matrix)
+
+
+def test_match_writes_the_same_verified_matches_without_the_bound(tmp_path, monkeypatch):
+    # the H fit's bail-out bound only skips work: hsfm match writes the same
+    # bytes with every fit scoring each hypothesis exactly
+    scene_dir = tmp_path / "scene"
+    fileio.write_scene(
+        synthetic.generate("ring", 6, 120, seed=4, noise_sigma=0.5, outlier_rate=0.05), scene_dir
+    )
+    msac, bounded = robust.msac, []
+
+    def spy(*args, lower_bound=None, **kwargs):
+        bounded.append(lower_bound is not None)
+        return msac(*args, lower_bound=lower_bound, **kwargs)
+
+    def unbounded(*args, lower_bound=None, **kwargs):
+        return msac(*args, **kwargs)
+
+    outputs = []
+    for wrapper in (spy, unbounded):
+        monkeypatch.setattr(robust, "msac", wrapper)
+        out = tmp_path / f"{wrapper.__name__}.txt"
+        assert cli.main(["match", "--input", str(scene_dir), "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert any(bounded) and not all(bounded)  # the H fits, not the F fits
+    assert outputs[0] == outputs[1] and b"pair" in outputs[0]
 
 
 def test_narrow_phase_invariant_to_pixel_scale():

@@ -251,6 +251,39 @@ def test_truncated_cameras_error(tmp_path):
     assert err.value.line_no == 2
 
 
+def one_camera_file(path, kind):
+    K = geo.Intrinsics(fx=1200.0, fy=1210.0, skew=0.0, cx=800.0, cy=600.0)
+    cam = geo.Camera.euclidean(K, np.eye(3), [0.5, -0.2, -4.0], radial=0.01)
+    if kind == geo.PROJECTIVE:
+        cam = geo.Camera.projective(cam.P)
+    fileio.write_cameras(path, geo.Model(cameras={3: cam}, tie_points=[], frame=kind))
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "kind, field",
+    [
+        (geo.PROJECTIVE, 2),   # P
+        (geo.PROJECTIVE, 13),
+        (geo.EUCLIDEAN, 5),    # P
+        (geo.EUCLIDEAN, 14),   # K: fx
+        (geo.EUCLIDEAN, 18),   # K: cy
+        (geo.EUCLIDEAN, 19),   # the radial term
+    ],
+)
+def test_cameras_reject_non_finite(tmp_path, kind, field, bad):
+    path = tmp_path / "m_cameras.txt"
+    one_camera_file(path, kind)
+    assert fileio.read_cameras(path).cameras[3].kind == kind
+    head, row = path.read_text().splitlines()
+    parts = row.split()
+    parts[field] = bad
+    path.write_text(f"{head}\n{' '.join(parts)}\n")
+    with pytest.raises(fileio.ParseError, match="non-finite") as err:
+        fileio.read_cameras(path)
+    assert err.value.line_no == 2
+
+
 # ---------------------------------------------------------------------------
 # scene directories + CLI
 # ---------------------------------------------------------------------------
@@ -473,6 +506,48 @@ def test_cli_eval_names_the_line_of_a_malformed_model(
     report = json.loads(err)
     assert report["error"] == "ParseError"
     assert f"{name}:{line_no}:" in report["message"]
+
+
+@pytest.mark.parametrize(
+    "line_no, text",
+    [
+        (2, "cameras = x"),
+        (2, "cameras = 3.5"),
+        (3, "points ="),
+        (4, "seed = 1 2"),
+        (5, "noise_sigma = nan"),
+        (6, "outlier_rate = -inf"),
+        (7, "width = inf"),
+        (8, None),  # no height line
+    ],
+)
+def test_cli_eval_names_the_line_of_a_malformed_scene(
+    written_model, tmp_path, capsys, line_no, text
+):
+    truth_dir, model_dir = written_model
+    shutil.copytree(truth_dir, tmp_path / "truth")
+    path = tmp_path / "truth" / fileio.SCENE_PARAMS
+    lines = path.read_text().splitlines()
+    assert lines[line_no - 1].startswith(("cameras", "points", "seed", "noise_sigma",
+                                          "outlier_rate", "width", "height"))
+    if text is None:
+        del lines[line_no - 1]
+    else:
+        lines[line_no - 1] = text
+    path.write_text("\n".join(lines) + "\n")
+    argv = ["eval", "--model", str(model_dir), "--truth", str(tmp_path / "truth")]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    report = json.loads(err)
+    assert report["error"] == "ParseError"
+    if text is None:
+        assert report["message"].endswith("scene.txt: missing scene parameter 'height'")
+        with pytest.raises(fileio.ParseError) as exc:
+            fileio.read_scene(tmp_path / "truth")
+        assert exc.value.line_no is None
+    else:
+        assert f"scene.txt:{line_no}:" in report["message"]
 
 
 def test_cli_synth_sam_eval_round_trip(tmp_path, capsys):

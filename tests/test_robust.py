@@ -403,18 +403,17 @@ def test_sample_stream_single_draws_exact_through_a_rejected_word(seed, n, size,
 
 @pytest.mark.parametrize("seed, n, size, buckets", REJECTED_WORD_LAYOUTS)
 def test_sample_stream_block_refill_exact_through_a_rejected_word(seed, n, size, buckets):
-    # msac's chunk schedule under a 1000-sample cap: two single draws, then
-    # blocks of 64, 128, 256 and 512 samples and a last one cut to the cap
-    stream = robust._SampleStream(seed, n, size, buckets, 1000)
-    chunks = [1, 1, 2, 4, 8, 16, 32, *[64] * 14, 40]
+    # msac's sample blocks under a 1000-sample cap: 64, 128, 256 and 512
+    # samples, then the 40 left
+    stream = robust._SampleStream(seed, n, size, buckets)
+    blocks = [64, 128, 256, 512, 40]
     got = []
-    for k in chunks:
+    for k in blocks:
         got.append(stream.draw(k))
-        served = sum(map(len, got))
-        assert stream._left >= 0 and stream._left + len(stream._ready) == 1000 - served
-        if len(got) == 2:
-            assert stream.rejected == 0  # the rejection falls in a block
-    assert stream.rejected > 0 and stream._left == len(stream._ready) == 0
+        assert len(got[-1]) == k  # a draw draws exactly what it is asked for
+        if len(got) == 1:
+            assert stream.rejected == 0  # the rejection falls in a later block
+    assert stream.rejected > 0
     assert np.array_equal(np.vstack(got), reference_samples(seed, n, size, buckets, 1000))
 
 
@@ -540,13 +539,15 @@ def test_stacked_msac_same_walk_as_per_sample(planar, sample_size, seed, stop):
                       full_solver=full, positions=x1)
     many = robust.msac(data, counting_solver, residual, cfg, sample_size,
                        full_solver=full, positions=x1, stacked=True)
-    assert drawn[:4] == [1, 1, 2, 4][: len(drawn)] and max(drawn) <= robust.MAX_CHUNK
+    # one solve per block of 64, 128, 256, ... samples, the last one cut to
+    # the samples the walk could still take; the walk stops in the last block
+    assert drawn[:-1] == [robust.MAX_CHUNK << i for i in range(len(drawn) - 1)]
+    assert drawn[-1] <= robust.MAX_CHUNK << (len(drawn) - 1)
+    assert sum(drawn[:-1]) < one.iterations <= sum(drawn)
     if stop == "cap":
         assert one.iterations == cfg.max_iterations == sum(drawn)
-    elif stop == "mid-chunk":
-        assert sum(drawn) > one.iterations
     else:
-        assert sum(drawn) == one.iterations < cfg.max_iterations
+        assert one.iterations < cfg.max_iterations
     assert many.iterations == one.iterations
     assert many.degenerate == one.degenerate
     assert many.score_history == one.score_history
@@ -554,6 +555,71 @@ def test_stacked_msac_same_walk_as_per_sample(planar, sample_size, seed, stop):
     assert np.array_equal(many.model_params, one.model_params)
     assert np.array_equal(many.inlier_mask, one.inlier_mask)
     assert many.score == one.score and many.sigma_star == one.sigma_star
+
+
+def h_bound(d, H):
+    return geo.homography_forward_error(H, d[:, :2], d[:, 2:])
+
+
+def f_bound(d, F):
+    # halving is exact, so half the Sampson distance bounds it to the bit
+    return 0.5 * f_residual(d, F)
+
+
+BOUNDED_CASES = [
+    # the walks of test_stacked_msac_same_walk_as_per_sample
+    (False, 4, 31), (True, 4, 32), (False, 7, 32), (True, 7, 34),
+    *[(planar, size, seed) for planar in (True, False) for size in (4, 7) for seed in range(10)],
+]
+
+
+@pytest.mark.parametrize("planar, sample_size, seed", BOUNDED_CASES)
+def test_lower_bound_leaves_the_fit_unchanged(planar, sample_size, seed):
+    x1, x2 = two_view_with_outliers(planar, seed)
+    data = np.hstack([x1, x2])
+    _, stacked_solver, residual, full = TWO_VIEW_SOLVERS[sample_size]
+    cfg = robust.MsacConfig(inlier_threshold=2.0, bucket_size=80.0, rng_seed=seed)
+    plain, bounded = (
+        robust.msac(data, stacked_solver, residual, cfg, sample_size, full_solver=full,
+                    positions=x1, stacked=True, lower_bound=bound)
+        for bound in (None, {4: h_bound, 7: f_bound}[sample_size])
+    )
+    assert (bounded.iterations, bounded.degenerate) == (plain.iterations, plain.degenerate)
+    assert bounded.score_history == plain.score_history
+    assert np.array_equal(bounded.best_sample, plain.best_sample)
+    assert np.asarray(bounded.model_params).tobytes() == np.asarray(plain.model_params).tobytes()
+    assert np.array_equal(bounded.inlier_mask, plain.inlier_mask)
+    assert bounded.score == plain.score and bounded.sigma_star == plain.sigma_star
+
+
+def test_lower_bound_skips_most_exact_residuals():
+    # a general-motion pair runs H-MSAC to its cap; past the first chunks,
+    # few hypotheses have a forward transfer that can still beat the best
+    x1, x2 = two_view_with_outliers(planar=False, seed=31)
+    data = np.hstack([x1, x2])
+    solved, exact = [], []
+
+    def solver(d, samples):
+        H, owner = h_closed_form(d, samples)
+        solved.append(len(H))
+        return H, owner
+
+    def residual(d, H):
+        exact.append(len(H))
+        return h_residual(d, H)
+
+    cfg = robust.MsacConfig(inlier_threshold=2.0, bucket_size=80.0, rng_seed=31)
+    res = robust.msac(data, solver, residual, cfg, 4, full_solver=h_one, positions=x1,
+                      stacked=True, lower_bound=h_bound)
+    assert res.iterations == cfg.max_iterations
+    assert 0 < sum(exact) < 0.1 * sum(solved)
+
+
+def test_lower_bound_needs_a_stacked_fit():
+    x1, x2 = two_view_with_outliers(planar=True, seed=3)
+    cfg = robust.MsacConfig(inlier_threshold=2.0)
+    with pytest.raises(ValueError):
+        robust.msac(np.hstack([x1, x2]), h_one, h_residual, cfg, 4, lower_bound=h_bound)
 
 
 # ---------------------------------------------------------------------------
